@@ -11,9 +11,11 @@ every i up to floor((d-1)/2).  Both sides are computed exactly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,10 +43,9 @@ def is_prime(q: int) -> bool:
     """Deterministic Miller-Rabin, exact for the 64-bit range."""
     if q < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if q in small:
+    if q in _MR_WITNESSES:
         return True
-    if any(q % s == 0 for s in small):
+    if any(q % s == 0 for s in _MR_WITNESSES):
         return False
     d, s = q - 1, 0
     while d % 2 == 0:
@@ -117,30 +118,44 @@ def fq_matrix(field: PrimeField, rows) -> FqMatrix:
     return FqMatrix(field, tuple(tuple(int(x) % q for x in row) for row in rows))
 
 
-def rank(m: FqMatrix) -> int:
-    """Gaussian elimination over the prime field."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
+def _work_dtype(q: int):
+    """Narrowest integer type in which a*b - c*d is exact for residues
+    mod q: int16, int32 or int64 below 2^31, Python integers (object
+    arrays) above."""
+    if q >= 2**31:
+        return object
+    return next(t for t in (np.int16, np.int32, np.int64) if (q - 1) ** 2 <= np.iinfo(t).max)
+
+
+def _echelon(m: FqMatrix) -> np.ndarray:
+    """Reduced row echelon form over the prime field, zero rows dropped.
+
+    Exact for every prime PrimeField accepts (see _work_dtype).  Row
+    operations keep every column dependency, so the distance search runs
+    on the rank-many rows this returns.
+    """
     q = m.field.q
-    a = np.array(m.entries, dtype=np.int64) % q
+    a = np.array(m.entries, dtype=_work_dtype(q)).reshape(m.rows, m.cols)
     r = 0
     for c in range(m.cols):
-        pivot = None
-        for i in range(r, m.rows):
-            if a[i, c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), q - 2, q) % q
-        for i in range(m.rows):
-            if i != r and a[i, c] != 0:
-                a[i] = (a[i] - a[i, c] * a[r]) % q
-        r += 1
         if r == m.rows:
             break
-    return r
+        below = np.flatnonzero(a[r:, c] != 0)
+        if below.size == 0:
+            continue
+        pivot = r + int(below[0])
+        a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] * pow(int(a[r, c]), q - 2, q) % q
+        others = np.flatnonzero(a[:, c] != 0)
+        others = others[others != r]
+        a[others] = (a[others] - a[others, c][:, None] * a[r]) % q
+        r += 1
+    return a[:r]
+
+
+def rank(m: FqMatrix) -> int:
+    """Rank over the prime field, by _echelon."""
+    return len(_echelon(m))
 
 
 def vandermonde(a_list: tuple[int, ...], d: int, field: PrimeField) -> FqMatrix:
@@ -258,92 +273,251 @@ def code_dimension(spec: LrcSpec) -> int:
     return spec.n - rank(parity_check(spec))
 
 
-def _reduce(vec: list[int], basis: list[tuple[int, list[int]]], q: int) -> list[int]:
-    """Reduce vec against an echelon basis of (pivot, unit-pivot row) pairs."""
-    for pivot, bvec in basis:
-        c = vec[pivot]
-        if c:
-            vec = [(x - c * y) % q for x, y in zip(vec, bvec)]
-    return vec
+_FRONTIER_BYTES = 1 << 18
+"""Cap on the bytes of stored search states, whatever the budget; the
+temporaries of one elimination step stay under a quarter of it."""
 
 
-def _nonzero_echelon_rows(m: FqMatrix) -> list[list[int]]:
-    """Row-reduce and drop zero rows; row operations leave every column
-    dependency intact, so the search below runs on shorter vectors."""
-    q = m.field.q
-    a = np.array(m.entries, dtype=np.int64) % q
-    r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if a[i, c] != 0), None)
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), q - 2, q) % q
-        for i in range(m.rows):
-            if i != r and a[i, c] != 0:
-                a[i] = (a[i] - a[i, c] * a[r]) % q
-        r += 1
-        if r == m.rows:
-            break
-    return [list(map(int, a[i])) for i in range(r)]
+def _storage_dtype(q: int):
+    """Narrowest type holding every residue mod q."""
+    if q >= 2**31:
+        return object
+    return next(t for t in (np.uint8, np.uint16, np.uint32) if q - 1 <= np.iinfo(t).max)
+
+
+def _comb(n: int, k: int) -> int:
+    return math.comb(n, k) if n >= 0 else 0
+
+
+def _lex_rank(subset: tuple[int, ...], n: int) -> int:
+    """0-based rank of a sorted subset among the same-size subsets of
+    0..n-1 in lexicographic order."""
+    d = len(subset)
+    return math.comb(n, d) - 1 - sum(_comb(n - 1 - a, d - i) for i, a in enumerate(subset))
+
+
+class _ColumnSearch:
+    """The lex-first smallest dependent set of columns of a full-row-rank
+    matrix, found level by level; `hit` is that set, or None when no set
+    of at most max_size columns is dependent.
+
+    A state is an independent column set S stored as the columns after
+    max(S), reduced against span(S): one row fewer per column of S, since
+    each elimination drops its pivot row.  A zero column in a state is a
+    dependent set one larger.  Level j of a slab holds every independent
+    set P + T with |T| = j and min(T) in the slab's range of first columns,
+    one array (rows, columns, states) per group of equal max(T), states in
+    colex order of T; one batched rank-1 update per (group, later column)
+    builds level j + 1.  States run along the last axis so that numpy's
+    inner loops are long.
+
+    A slab whose two largest consecutive levels would pass _FRONTIER_BYTES
+    is split by first column, and a single such column by the next one
+    (a longer prefix P).  Slabs run in lex order, each searching only below
+    the best size found so far, so the first set found at the final size
+    is also the lex-first one.
+    """
+
+    def __init__(self, rows: np.ndarray, q: int, max_size: int):
+        self.q = q
+        self.n = rows.shape[1]
+        self.work = _work_dtype(q)
+        self.dtype = _storage_dtype(q)
+        self.entry_bytes = np.dtype(self.dtype).itemsize
+        if self.dtype is object:
+            self.entry_bytes += sys.getsizeof(q)
+        self.hit: tuple[int, ...] | None = None
+        self.peak = 0  # most bytes of stored levels held at once
+        state = rows.astype(self.dtype)
+        # only sets smaller than self.best are searched.  A first pass
+        # covers the sizes whose levels fit in one slab, so a small
+        # distance is found without splitting; the full search runs only
+        # when that pass finds nothing.
+        self.best = max_size + 1
+        while self.best > 2 and self._peak(0, len(state), 0, self.n) > _FRONTIER_BYTES:
+            self.best -= 1
+        self._prefix((), state, 0)
+        if self.hit is None and self.best <= max_size:
+            self.best = max_size + 1
+            self._prefix((), state, 0)
+
+    def _found(self, subset: tuple[int, ...]) -> None:
+        self.best = len(subset)
+        self.hit = subset
+
+    def _eliminate(self, x: np.ndarray, t: int) -> np.ndarray:
+        """States x, (rows, columns, states) with column t nonzero in
+        each, extended by column t.
+
+        Row operations keep a state's column dependencies, so row 0 first
+        takes on later rows until its entry p in column t is nonzero.  Each
+        later row y then becomes p*y - y_t*row0, p times the usual
+        reduction (scaling keeps the dependencies too, and needs no
+        inverse), and row 0 is dropped.
+        """
+        x = x[:, t:].astype(self.work)
+        row0 = x[0]
+        for i in range(1, len(x)):
+            fix = row0[0] == 0
+            if not fix.any():
+                break
+            row0[:, fix] = (row0[:, fix] + x[i][:, fix]) % self.q
+        e = row0[:1] * x[1:, 1:]
+        e -= x[1:, :1] * row0[1:]
+        e -= e // self.q * self.q  # e %= q, but numpy divides faster than it takes remainders
+        return e
+
+    def _peak(self, base: int, rank: int, f_lo: int, f_hi: int) -> int:
+        """Bytes of the two largest consecutive levels a slab stores: prefix
+        length base, rank rows left, first columns in [f_lo, f_hi).  Level
+        0 is the prefix, and the last level searched is never stored."""
+        n = self.n
+        level = [rank * (n - f_lo) * self.entry_bytes]
+        for j in range(1, self.best - 1 - base):
+            states = sum(
+                (_comb(l - f_lo, j - 1) - _comb(l - f_hi, j - 1)) * (n - 1 - l)
+                for l in range(f_lo, n)
+            )
+            level.append(states * (rank - j) * self.entry_bytes)
+        level.append(0)
+        return max(a + b for a, b in zip(level, level[1:]))
+
+    def _prefix(self, prefix: tuple[int, ...], state: np.ndarray, lo: int) -> None:
+        """Search prefix + T for every nonempty T with min(T) >= lo, in lex
+        order; state holds columns lo.. reduced against span(prefix)."""
+        base, rank, f = len(prefix), state.shape[0], lo
+        while f < self.n and base + 1 < self.best:
+            if self._peak(base, rank, f, f + 1) > _FRONTIER_BYTES:
+                if not (state[:, f - lo] != 0).any():
+                    self._found(prefix + (f,))
+                else:
+                    child = self._eliminate(state[:, :, None], f - lo)[:, :, 0].astype(self.dtype)
+                    self._prefix(prefix + (f,), child, f + 1)
+                f += 1
+                continue
+            # the widest slab [f, hi) that fits; peaks grow with hi
+            hi = f + 1 + bisect.bisect_left(
+                range(f + 2, self.n + 1),
+                True,
+                key=lambda end: self._peak(base, rank, f, end) > _FRONTIER_BYTES,
+            )
+            self._slab(prefix, state[:, f - lo :], f, hi)
+            f = hi
+
+    def _slab(self, prefix, state, f_lo: int, f_hi: int) -> None:
+        """Every prefix + T with min(T) in [f_lo, f_hi), below the best
+        size, level by level; state holds columns f_lo.. reduced against
+        span(prefix).  Groups are keyed by max(T); level 0 is the prefix
+        itself, keyed f_lo - 1."""
+        n, base = self.n, len(prefix)
+        groups = {f_lo - 1: state[:, :, None]}
+        held = state.nbytes  # bytes of the stored levels
+        sizes: list[np.ndarray] = []  # sizes[j - 1][l]: states in group l at level j
+        j = 0
+        while base + j + 1 < self.best:
+            store = base + j + 2 < self.best
+            # group c of level j + 1 is every state of the groups l < c in
+            # order, so group l's children start at state nxt[l] of each
+            nxt = np.zeros(n, np.int64)
+            if j == 0:
+                nxt[f_lo:f_hi] = 1
+            else:
+                nxt[1:] = np.cumsum(sizes[-1])[:-1]
+            children: dict[int, np.ndarray] = {}
+            hits = []
+            for l in sorted(groups):
+                x = groups.pop(l)
+                ts = range(f_hi - f_lo) if j == 0 else range(x.shape[1])
+                # three temporaries per child, each at most a parent chunk
+                per_state = np.dtype(self.work).itemsize * max(1, x[:, :, 0].size)
+                step = max(1, _FRONTIER_BYTES // (12 * per_state))
+                for s in range(0, x.shape[2], step):
+                    chunk = x[:, :, s : s + step]
+                    zero = ~(chunk[:, : ts.stop] != 0).any(axis=0)
+                    if zero.any():
+                        t, idx = np.nonzero(zero)
+                        hits.append((l, l + 1 + t, s + idx))
+                        held -= sum(a.nbytes for a in children.values())
+                        children, store = {}, False
+                    if not store:
+                        continue
+                    for t in ts:
+                        c = l + 1 + t
+                        if c not in children:
+                            children[c] = np.empty((len(x) - 1, n - 1 - c, nxt[c]), self.dtype)
+                            held += children[c].nbytes
+                            self.peak = max(self.peak, held)
+                        at = (nxt[l] if j else 0) + s
+                        children[c][:, :, at : at + chunk.shape[2]] = self._eliminate(chunk, t)
+                held -= x.nbytes
+            if hits:
+                rows = np.concatenate([self._unrank(sizes, *hit) for hit in hits])
+                first = rows[np.lexsort(rows.T[::-1])[0]]
+                self._found(prefix + tuple(int(a) for a in first))
+                return
+            sizes.append(nxt)
+            groups = children
+            j += 1
+
+    @staticmethod
+    def _unrank(sizes, l, cs, idx) -> np.ndarray:
+        """The sets T + {c}, one row each, for states idx of group l at
+        level len(sizes) with zero column c: colex unranking through the
+        group sizes of each level."""
+        cols = [cs]
+        if sizes:
+            cols.append(np.full(len(idx), l))
+            for count in reversed(sizes[:-1]):
+                inclusive = np.cumsum(count)
+                parent = np.searchsorted(inclusive, idx, side="right")
+                idx = idx - (inclusive[parent] - count[parent])
+                cols.append(parent)
+        return np.stack(cols[::-1], axis=1)
 
 
 def min_distance(m: FqMatrix, budget: int = 5 * 10**6) -> int:
     """Smallest number of linearly dependent columns.
 
-    Depth-first search over column subsets in lexicographic order by
-    increasing size; since all strictly smaller subsets were independent,
-    dependency can only appear at the last column of a subset, so each node
-    costs one reduction against the prefix basis.  The budget caps the
-    number of subsets examined at the target size; exceeding it raises with
-    the largest size for which independence was fully verified.
+    The search runs level by level (see _ColumnSearch): every independent
+    set of one size is extended by every later column at once, and a zero
+    column is a dependent set.  The budget meters the same work as an
+    exhaustive sweep of column subsets, by size and then in lexicographic
+    order, up to and including the first dependent one: the result is
+    returned only if that count is at most the budget, and otherwise
+    BudgetExceeded carries checked_up_to, the largest size whose subsets
+    the budget covers entirely (every smaller size is then cleared).
+    Arithmetic is exact for every prime PrimeField accepts, and the
+    search's working memory is capped by _FRONTIER_BYTES whatever the
+    budget.
     """
-    q = m.field.q
     n = m.cols
     if n == 0:
         raise NotACode("no columns")
-    rows = _nonzero_echelon_rows(m)
-    if not rows:
+    rows = _echelon(m)
+    if not len(rows):
         return 1  # zero matrix: every single column is dependent
-    columns = [[row[j] for row in rows] for j in range(n)]
-    spent = 0
-
+    # the first size the budget cannot sweep in full, if any
+    swept, over = 0, None
     for size in range(1, n + 1):
-        # basis stack per depth: basis[k] reflects the first k chosen columns
-        found: tuple[int, ...] | None = None
-
-        def extend(chosen: list[int], basis: list[tuple[int, list[int]]], start: int):
-            nonlocal spent, found
-            if found is not None:
-                return
-            depth = len(chosen)
-            for j in range(start, n - (size - depth) + 1):
-                if found is not None:
-                    return
-                if depth == size - 1:
-                    spent += 1
-                    if spent > budget:
-                        raise BudgetExceeded(
-                            f"column search exhausted budget at subset size {size}; "
-                            f"distance exceeds {size - 1}",
-                            checked_up_to=size - 1,
-                        )
-                red = _reduce(list(columns[j]), basis, q)
-                pivot = next((i for i, x in enumerate(red) if x), None)
-                if pivot is None:
-                    if depth == size - 1:
-                        found = tuple(chosen + [j])
-                        return
-                    continue  # dependent early: a smaller subset would have caught it
-                if depth < size - 1:
-                    inv = pow(red[pivot], q - 2, q)
-                    unit = [x * inv % q for x in red]
-                    extend(chosen + [j], basis + [(pivot, unit)], j + 1)
-
-        extend([], [], 0)
-        if found is not None:
-            return size
-    raise NotACode("all columns independent: the code is trivial")
+        swept += math.comb(n, size)
+        if swept > budget:
+            over = size
+            break
+    hit = None
+    if len(rows) < n:  # otherwise every column set is independent
+        max_size = min(len(rows) + 1, over or n)
+        hit = _ColumnSearch(rows, m.field.q, max_size).hit
+    if hit is not None:
+        spent = sum(math.comb(n, s) for s in range(1, len(hit))) + _lex_rank(hit, n) + 1
+        if spent <= budget:
+            return len(hit)
+    elif over is None:
+        raise NotACode("all columns independent: the code is trivial")
+    raise BudgetExceeded(
+        f"column search exhausted budget at subset size {over}; "
+        f"distance exceeds {over - 1}",
+        checked_up_to=over - 1,
+    )
 
 
 def singleton_bound(n: int, k: int, r: int) -> int:

@@ -156,6 +156,23 @@ def min_dependent_columns(rows, q, max_size=None):
     return None
 
 
+def min_distance_leaves(rows, q):
+    """Column subsets an exhaustive distance search examines: sizes
+    ascending, each size in lexicographic order, up to and including the
+    first dependent subset (every subset when all columns are
+    independent)."""
+    cols = len(rows[0])
+    column = [[row[c] for row in rows] for c in range(cols)]
+    leaves = 0
+    for size in range(1, cols + 1):
+        for combo in itertools.combinations(range(cols), size):
+            leaves += 1
+            sub = [[column[c][i] for c in combo] for i in range(len(rows))]
+            if rank_mod(sub, q) < size:
+                return leaves
+    return leaves
+
+
 def code_min_weight(parity_rows, q):
     """Minimum Hamming weight of the code {x : Hx = 0} over F_q, by full
     codeword enumeration.  Only usable when q**k is tiny."""

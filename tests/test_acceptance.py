@@ -234,7 +234,7 @@ def test_criterion_7_lrc(acc):
     assert report.optimal and report.free and report.agree
     assert (report.k, report.bound, report.d_actual) == (11, 11, 11)
     build_dt = time.perf_counter() - t0
-    assert build_dt < 600.0
+    assert build_dt < 60.0
 
     t0 = time.perf_counter()
     planted = lrc.LrcSpec(
@@ -245,13 +245,13 @@ def test_criterion_7_lrc(acc):
     assert planted_report.agree
     assert planted_report.d_actual <= 10
     planted_dt = time.perf_counter() - t0
-    assert planted_dt < 600.0
+    assert planted_dt < 60.0
     acc["generators"]["c7"] = _build_lrc
     ACCEPTANCE_LINES.append(
         f"PASS criterion 7: [22, 11] code over F_23 reaches distance 11 = bound "
         f"({build_dt:.1f}s); planted overlap drops distance to "
         f"{planted_report.d_actual} and breaks freeness ({planted_dt:.1f}s, "
-        f"limit 10min each)"
+        f"limit 60s each)"
     )
 
 

@@ -1,10 +1,13 @@
 """Field arithmetic, parity-check construction, exact minimum distance,
 and the optimality/freeness cross-check for locally recoverable codes."""
 
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sparsehg import lrc
@@ -209,6 +212,154 @@ def test_min_distance_matches_oracles(rng):
         assert d == expected
         # same number through the codeword lens: minimum nonzero weight
         assert d == oracles.code_min_weight(entries, q)
+
+
+# primes at the edges of the integer types the search computes and stores in
+WIDTH_PRIMES = [181, 46337, 65537, 2**31 - 1]
+
+
+def test_big_prime_elimination_is_exact():
+    # [[1, a], [a, a^2]] has rank 1; in int64 the product a * a wraps
+    q = 2**61 - 1
+    a = 3**30 % q
+    m = lrc.fq_matrix(lrc.PrimeField(q), [[1, a], [a, a * a % q]])
+    assert lrc.rank(m) == 1
+    assert lrc.min_distance(m) == 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_elimination_and_distance_match_oracles_for_every_prime_size(data):
+    q = data.draw(st.sampled_from([2, 23] + WIDTH_PRIMES + [2**61 - 1]))
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(1), st.just(q - 1), st.integers(0, q - 1))
+    entries = data.draw(
+        st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    if rows > 1 and data.draw(st.booleans()):
+        # a multiple of the first row: exercises products near q^2
+        c = data.draw(st.integers(1, q - 1))
+        entries[-1] = [x * c % q for x in entries[0]]
+    if cols > 2 and data.draw(st.booleans()):
+        # the last column a combination of two others: the search must
+        # reduce it to exactly zero
+        a, b = data.draw(st.lists(st.integers(0, cols - 2), min_size=2, max_size=2, unique=True))
+        ca, cb = data.draw(st.integers(1, q - 1)), data.draw(st.integers(1, q - 1))
+        for row in entries:
+            row[-1] = (ca * row[a] + cb * row[b]) % q
+    m = lrc.fq_matrix(lrc.PrimeField(q), entries)
+    assert lrc.rank(m) == oracles.rank_mod(entries, q)
+    expected = oracles.min_dependent_columns(entries, q)
+    if expected is None:
+        with pytest.raises(NotACode):
+            lrc.min_distance(m)
+    else:
+        assert lrc.min_distance(m) == expected
+
+
+@pytest.mark.parametrize("q", WIDTH_PRIMES + [2**61 - 1])
+def test_batched_elimination_contracts_the_column_exactly(rng, q):
+    # extending a state by column 0 must leave the later columns with
+    # exactly the dependencies they have modulo column 0, in every state
+    # of the batch, with entries at the top of the integer type's range
+    search = lrc._ColumnSearch(np.ones((1, 2), np.int64), q, 1)
+    values = [0, 1, 2, q - 2, q - 1]
+    for _ in range(20):
+        rows, cols = rng.randint(2, 4), rng.randint(3, 5)
+        states = []
+        for _ in range(6):
+            # column 0's pivot comes from a later row, and the last column
+            # is a combination of columns 0 and 1, so it stays parallel to
+            # column 1 only if the arithmetic is exact
+            state = [[rng.choice(values + [rng.randrange(q)]) for _ in range(cols)] for _ in range(rows)]
+            state[0][0], state[-1][0] = 0, rng.choice([1, q - 1])
+            a, b = rng.choice(values[1:]), rng.choice(values[1:])
+            for row in state:
+                row[-1] = (a * row[0] + b * row[1]) % q
+            states.append(state)
+        x = np.array(states, dtype=lrc._storage_dtype(q)).transpose(1, 2, 0)
+        child = search._eliminate(x, 0)
+        for i, state in enumerate(states):
+            reduced = [[int(v) for v in row] for row in child[:, :, i]]
+            for size in range(1, cols):
+                for subset in itertools.combinations(range(cols - 1), size):
+                    with_0 = [[row[0]] + [row[1 + u] for u in subset] for row in state]
+                    alone = [[row[u] for u in subset] for row in reduced]
+                    assert oracles.rank_mod(alone, q) == oracles.rank_mod(with_0, q) - 1
+
+
+@pytest.fixture
+def split_search(monkeypatch):
+    """Shrinks the frontier cap so the distance search splits into slabs,
+    and records every search run, to check the cap."""
+    searches = []
+
+    class Recorded(lrc._ColumnSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(lrc, "_ColumnSearch", Recorded)
+
+    def shrink(cap):
+        monkeypatch.setattr(lrc, "_FRONTIER_BYTES", cap)
+        return searches
+
+    return shrink
+
+
+def _swept_sizes(n, budget):
+    """Largest subset size whose every subset, with all smaller ones,
+    fits in the budget: where an exhaustive sweep stops."""
+    swept, size = 0, 0
+    while size < n and swept + math.comb(n, size + 1) <= budget:
+        size += 1
+        swept += math.comb(n, size)
+    return size
+
+
+@pytest.mark.parametrize("cap", [None, 0, 256])
+def test_min_distance_budget_matches_exhaustive_sweep(rng, split_search, cap):
+    # the budget meters column subsets in size-then-lex order; the result
+    # comes back exactly when the sweep up to the first dependent subset
+    # fits, and is the same however the search is split into slabs
+    searches = split_search(cap) if cap is not None else []
+    for _ in range(60):
+        q = rng.choice([2, 3, 5, 23])
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 7)
+        entries = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        if not any(map(any, entries)):
+            continue  # the zero matrix is answered before any search
+        m = lrc.fq_matrix(lrc.PrimeField(q), entries)
+        leaves = oracles.min_distance_leaves(entries, q)
+        d = oracles.min_dependent_columns(entries, q)
+        for budget in range(1, leaves + 2):
+            if budget < leaves:
+                with pytest.raises(BudgetExceeded) as exc:
+                    lrc.min_distance(m, budget=budget)
+                assert exc.value.checked_up_to == _swept_sizes(cols, budget)
+            elif d is None:
+                with pytest.raises(NotACode):
+                    lrc.min_distance(m, budget=budget)
+            else:
+                assert lrc.min_distance(m, budget=budget) == d
+    assert all(s.peak <= cap for s in searches)
+
+
+@pytest.mark.parametrize("cap", [None, 1 << 16])
+def test_flagship_distance_with_split_frontier(split_search, cap):
+    # 1744435 subsets of sizes 1..10, then the first 11-subset, the first
+    # block's columns, is dependent; unsplit, the search holds about 2.8 MB
+    searches = split_search(cap) if cap is not None else []
+    h = lrc.parity_check(FLAGSHIP)
+    assert lrc.min_distance(h) == 11
+    assert lrc.min_distance(h, budget=1744436) == 11
+    with pytest.raises(BudgetExceeded) as exc:
+        lrc.min_distance(h, budget=1744435)
+    assert exc.value.checked_up_to == 10
+    assert all(0 < s.peak <= cap for s in searches)
 
 
 def test_singleton_bound():
