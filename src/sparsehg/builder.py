@@ -31,8 +31,8 @@ from .errors import (
     TargetOrdering,
 )
 from .freeness import (
-    ConstraintProfile,
     FreenessConstraint,
+    Verdict,
     check_free,
     check_profile,
     ladder_profile,
@@ -73,7 +73,12 @@ class ConstructionParams:
 
 @dataclass
 class AlterationTrace:
-    """Counts of everything the alteration removed, plus the removed edges."""
+    """Counts of everything the alteration removed, plus the removed edges.
+
+    `bad_after` holds the surviving bad e-systems as index tuples into the
+    altered hypergraph, in lexicographic order, for `build_aux`.  It is not
+    part of the report.
+    """
 
     x_sampled: int
     y_removed: dict[int, int] = field(default_factory=dict)
@@ -83,6 +88,7 @@ class AlterationTrace:
     extra_removed: dict[int, int] = field(default_factory=dict)
     removed_edges: list[tuple[int, ...]] = field(default_factory=list)
     final_yield: int | None = None
+    bad_after: tuple[tuple[int, ...], ...] | None = None
 
     def to_report(self) -> dict:
         return {
@@ -115,9 +121,13 @@ class AuxGraph:
 
 @dataclass(frozen=True)
 class ConstructionResult:
+    """The certified output, its attempt's parameters and trace, and the
+    certificate: the ladder-profile verdict checked on the output."""
+
     hypergraph: Hypergraph
     params: ConstructionParams
     trace: AlterationTrace
+    certificate: Verdict
 
 
 def plan(
@@ -246,18 +256,6 @@ def _support(masks) -> int:
     return u.bit_count()
 
 
-def _count_systems(edges, masks, size: int, max_span: int, budget: int) -> int:
-    """Count size-subsets spanning <= max_span without materializing the
-    degenerate all-subsets case."""
-    m = len(edges)
-    if m < size:
-        return 0
-    r = len(edges[0])
-    if max_span >= min(size * r, _support(masks)):
-        return comb(m, size)
-    return len(span_bounded_systems(edges, masks, size, max_span, budget=budget, simple=True))
-
-
 def alter(
     h0: Hypergraph, params: ConstructionParams, *, budget: int = 10**6
 ) -> tuple[Hypergraph, AlterationTrace]:
@@ -266,11 +264,16 @@ def alter(
 
     For each level i = 2..e-1 ascending: enumerate the current i-subsets
     spanning at most i*r - f(i) and remove the greatest edge of each
-    still-intact one; then enumerate the current bad e-systems (e edges
-    spanning at most v) and, for pairs sharing precisely i edges whose
-    shared union spans at least i*r - f(i) + 1, remove the greatest edge
-    of the pair's union.  Extra targets are swept last.  The output is
-    re-checked against every per-level constraint.
+    still-intact one; then, for pairs of current bad e-systems (e edges
+    spanning at most v) sharing precisely i edges whose shared union spans
+    at least i*r - f(i) + 1, remove the greatest edge of the pair's union.
+    Extra targets are swept last.  The output is re-checked against every
+    per-level constraint.
+
+    The bad e-systems are enumerated once, on the sample: alteration only
+    deletes edges, so those of any later hypergraph are the sample's bad
+    e-systems whose edges all survive.  The survivors' systems, re-indexed
+    to the output, are left in `trace.bad_after` for `build_aux`.
     """
     r, e, v, f = params.r, params.e, params.v, params.f
     edges = list(h0.edges)
@@ -294,7 +297,28 @@ def alter(
         alive[k] = False
         trace.removed_edges.append(edges[k])
 
-    trace.w_before = _count_systems(edges, masks, e, v, budget)
+    if m >= e and v >= min(e * r, _support(masks)):
+        # every e-subset is bad, and stays so after any deletion while e
+        # edges survive: current_bad lists them itself, so none are stored
+        bad = []
+        trace.w_before = comb(m, e)
+    else:
+        bad = span_bounded_systems(edges, masks, e, v, budget=budget, simple=True)
+        trace.w_before = len(bad)
+
+    def current_bad() -> list[tuple[int, ...]]:
+        """Bad e-systems of the current hypergraph, as original-index
+        tuples in lexicographic order."""
+        nonlocal bad
+        cur = alive_indices()
+        if len(cur) >= e and v >= min(e * r, _support([masks[k] for k in cur])):
+            if comb(len(cur), e) > budget:
+                raise BudgetExceeded(
+                    f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad"
+                )
+            return list(itertools.combinations(cur, e))
+        bad = [s for s in bad if all(alive[k] for k in s)]
+        return bad
 
     for i in range(2, e):
         thr = i * r - f[i]
@@ -314,41 +338,35 @@ def alter(
                     removed_here += 1
         trace.y_removed[i] = removed_here
 
-        # entangled pairs of current bad e-systems sharing precisely i edges
-        cur = alive_indices()
-        support = _support([masks[k] for k in cur])
-        if v >= min(e * r, support) and len(cur) >= e:
-            if comb(len(cur), e) > budget:
-                raise BudgetExceeded(
-                    f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad"
-                )
-            bad = list(itertools.combinations(cur, e))
-        else:
-            bad = sub_systems(e, v)
+        # entangled pairs of current bad e-systems sharing precisely i edges,
+        # visited in lexicographic order of (s1, s2): one s1 at a time, so
+        # only the partners of one system are held at once
+        current = current_bad()
         buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for s in bad:
+        for s in current:
             for t in itertools.combinations(s, i):
                 buckets.setdefault(t, []).append(s)
         pair_thr = i * r - f[i] + 1
-        pairs = []
-        for t, members in buckets.items():
-            if len(members) < 2:
-                continue
-            shared_mask = 0
-            for k in t:
-                shared_mask |= masks[k]
-            if shared_mask.bit_count() < pair_thr:
-                continue
-            for s1, s2 in itertools.combinations(members, 2):
-                if len(set(s1) & set(s2)) == i:
-                    pairs.append((s1, s2))
-        pairs.sort()
+        shared = {
+            t: members
+            for t, members in buckets.items()
+            if len(members) >= 2 and _support([masks[k] for k in t]) >= pair_thr
+        }
         removed_here = 0
-        for s1, s2 in pairs:
-            both = set(s1) | set(s2)
-            if all(alive[k] for k in both):
-                remove(max(both))
-                removed_here += 1
+        for s1 in current:
+            if not all(alive[k] for k in s1):
+                continue  # every pair holding s1 is already broken
+            partners = sorted(
+                s2
+                for t in itertools.combinations(s1, i)
+                for s2 in shared.get(t, ())
+                if s2 > s1 and len(set(s1).intersection(s2)) == i
+            )
+            for s2 in partners:
+                both = set(s1) | set(s2)
+                if all(alive[k] for k in both):
+                    remove(max(both))
+                    removed_here += 1
         trace.z_removed[i] = removed_here
 
     for j, (v_j, e_j) in enumerate(params.extra_targets):
@@ -363,7 +381,9 @@ def alter(
     if not survivors:
         raise Degenerate("alteration removed every edge")
     h1 = h0.subhypergraph(survivors)
-    trace.w_after = _count_systems(list(h1.edges), list(h1.masks), e, v, budget)
+    position = {k: a for a, k in enumerate(survivors)}
+    trace.bad_after = tuple(tuple(position[k] for k in s) for s in current_bad())
+    trace.w_after = len(trace.bad_after)
 
     # guarantees are checked, not assumed
     for i in range(2, e):
@@ -377,19 +397,28 @@ def alter(
     return h1, trace
 
 
-def build_aux(h1: Hypergraph, params: ConstructionParams, *, budget: int = 10**6) -> AuxGraph:
+def build_aux(
+    h1: Hypergraph,
+    params: ConstructionParams,
+    *,
+    budget: int = 10**6,
+    systems: tuple[tuple[int, ...], ...] | None = None,
+) -> AuxGraph:
     """Auxiliary hypergraph on the surviving edges: one aux edge per bad
-    e-system.  The alteration guarantees linearity (no two aux edges share
-    two vertices); NotLinear means an internal failure."""
+    e-system.  `systems` passes in the bad e-systems of `h1` when they are
+    already known (`trace.bad_after` from `alter`); otherwise they are
+    enumerated.  The alteration guarantees linearity (no two aux edges
+    share two vertices); NotLinear means an internal failure."""
     e, v = params.e, params.v
     if h1.m < e:
         return AuxGraph(h1.m, e, ())
-    if v >= min(e * h1.r, _support(h1.masks)):
-        if comb(h1.m, e) > budget:
-            raise BudgetExceeded("degenerate parameters: all e-subsets are bad")
-        systems = list(itertools.combinations(range(h1.m), e))
-    else:
-        systems = span_bounded_systems(h1.edges, h1.masks, e, v, budget=budget, simple=True)
+    if systems is None:
+        if v >= min(e * h1.r, _support(h1.masks)):
+            if comb(h1.m, e) > budget:
+                raise BudgetExceeded("degenerate parameters: all e-subsets are bad")
+            systems = list(itertools.combinations(range(h1.m), e))
+        else:
+            systems = span_bounded_systems(h1.edges, h1.masks, e, v, budget=budget, simple=True)
     seen_pairs: set[tuple[int, int]] = set()
     for s in systems:
         for pair in itertools.combinations(s, 2):
@@ -512,7 +541,7 @@ def construct(
             h1, trace = alter(h0, attempt_params, budget=budget)
         except Degenerate:
             continue
-        aux = build_aux(h1, attempt_params, budget=budget)
+        aux = build_aux(h1, attempt_params, budget=budget, systems=trace.bad_after)
         keep = independent_set(aux, seed + attempt)
         out = h1.subhypergraph(keep)
         verdict = check_profile(out, profile, budget=budget)
@@ -529,7 +558,7 @@ def construct(
         trace.final_yield = out.m
         best_yield = max(best_yield, out.m)
         if out.m >= params.min_yield:
-            return ConstructionResult(out, attempt_params, trace)
+            return ConstructionResult(out, attempt_params, trace, verdict)
     raise RetriesExhausted(
         f"no attempt reached min_yield={params.min_yield} "
         f"after {params.max_retries} retries (best {best_yield})",

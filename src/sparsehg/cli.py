@@ -131,7 +131,7 @@ def run_construct(args) -> int:
         fh.write(serialize_hg(h))
     _write_json(trace_path, {"schema": 1, **result.trace.to_report()})
     profile = freeness.ladder_profile(args.r, args.e, args.v)
-    verdict = freeness.check_profile(h, profile, budget=_budget(args))
+    verdict = result.certificate
     cert = {
         "schema": 1,
         "params": _params_report(result.params),
@@ -158,7 +158,7 @@ def run_construct(args) -> int:
 def run_verify(args) -> int:
     h = _read_hg(args.file)
     if args.berge is not None:
-        cycle = freeness.berge_girth(h, args.berge)
+        cycle = freeness.berge_girth(h, args.berge, budget=_budget(args))
         if cycle is None:
             report = {"schema": 1, "mode": "berge", "t_max": args.berge, "holds": True, "girth": None}
             _emit(report, args.json, [f"no cycle of length <= {args.berge}: holds"])

@@ -6,7 +6,9 @@ spans at most v vertices.  Rather than scanning all C(m, e) subsets it
 roots the search at an edge pair sharing enough vertices: any violating
 system with v < e*r must contain a pair sharing at least
 ceil((e*r - v) / C(e, 2)) vertices, so rooting at the lexicographically
-smallest such pair enumerates every system exactly once.
+smallest such pair enumerates every system exactly once.  A branch that
+already holds a qualifying pair sorting before its root is cut, so a
+system is rarely built under a root that is not its own.
 """
 
 from __future__ import annotations
@@ -110,13 +112,12 @@ def vertex_index(edges) -> dict[int, list[int]]:
 
 
 def _mask_vertices(mask: int) -> list[int]:
+    """The vertices of a bitmask (bit v-1 is vertex v), ascending."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return out
 
 
@@ -213,6 +214,20 @@ def span_bounded_systems(
         span0 = u0.bit_count()
         if span0 > max_span:
             continue
+        mi, mj = masks[i], masks[j]
+
+        def precedes_root(k: int, chosen: tuple[int, ...]) -> bool:
+            """Does k form a qualifying pair that sorts before (i, j)?  Pairs
+            only accumulate down a branch, so no extension would be emitted."""
+            mk = masks[k]
+            if k < j and (mk & mi).bit_count() >= s_star:
+                return True
+            if k < i and (mk & mj).bit_count() >= s_star:
+                return True
+            for x in chosen:
+                if (k < i or x < i) and (mk & masks[x]).bit_count() >= s_star:
+                    return True
+            return False
 
         def rec(chosen: tuple[int, ...], u: int, span: int, start: int):
             t = size - 2 - len(chosen)
@@ -231,16 +246,17 @@ def span_bounded_systems(
             else:
                 # the next edge must reuse at least r - cap spanned vertices
                 need = r - cap
-                cnt: Counter[int] = Counter()
+                near: set[int] = set()
                 for v in _mask_vertices(u):
-                    for k in index.get(v, ()):
-                        if k >= start and k != i and k != j:
-                            cnt[k] += 1
-                cands = iter(sorted(k for k, c in cnt.items() if c >= need))
+                    near.update(index.get(v, ()))
+                cands = sorted(
+                    k for k in near
+                    if k >= start and k != i and k != j and (masks[k] & u).bit_count() >= need
+                )
             for k in cands:
                 u2 = u | masks[k]
                 span2 = u2.bit_count()
-                if span2 <= max_span:
+                if span2 <= max_span and not precedes_root(k, chosen):
                     rec(chosen + (k,), u2, span2, k + 1)
 
         rec((), u0, span0, 0)
@@ -433,9 +449,10 @@ def validate_berge_cycle(h: Hypergraph, cycle: BergeCycle) -> bool:
     return True
 
 
-def berge_girth(h: Hypergraph, t_max: int) -> BergeCycle | None:
+def berge_girth(h: Hypergraph, t_max: int, *, budget: int | None = None) -> BergeCycle | None:
     """Smallest t <= t_max such that `h` contains a Berge t-cycle, with an
-    explicit witness; None when the girth exceeds t_max.
+    explicit witness; None when the girth exceeds t_max.  `budget` caps the
+    systems enumerated at each length, as in `span_bounded_systems`.
 
     Uses the equivalence with span-freeness: a Berge t-cycle's edges span
     at most t*(r-1) vertices, and conversely t edges spanning at most
@@ -445,7 +462,9 @@ def berge_girth(h: Hypergraph, t_max: int) -> BergeCycle | None:
     if t_max < 2:
         raise BadRange(f"need t_max >= 2, got {t_max}")
     for i in range(2, t_max + 1):
-        systems = span_bounded_systems(h.edges, h.masks, i, i * (h.r - 1), simple=not h.multi)
+        systems = span_bounded_systems(
+            h.edges, h.masks, i, i * (h.r - 1), budget=budget, simple=not h.multi
+        )
         if systems:
             cycle = extract_berge_cycle(h, systems[0])
             # scanning i upward means no shorter cycle exists anywhere

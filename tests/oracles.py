@@ -245,3 +245,45 @@ def window_bound(r, e, v):
             if best is None or term < best:
                 best = term
     return best
+
+
+def alteration_removals(edges, e, v, level_spans, extra_targets=()):
+    """The alteration rule written out plainly, as the removed edges in
+    order.  level_spans maps each level i to i*r - f(i).  Per level: remove
+    the last edge of each still-intact i-subset spanning <= level_spans[i];
+    then, over pairs of current bad e-systems (span <= v) sharing exactly i
+    edges whose shared edges span more than level_spans[i], in
+    lexicographic order, remove the largest edge of each still-intact
+    pair.  Extra targets (v_j, e_j) go last like a level."""
+    dead = set()
+    removed = []
+
+    def kill(k):
+        dead.add(k)
+        removed.append(edges[k])
+
+    def intact(combo):
+        return not dead.intersection(combo)
+
+    def sweep(size, max_span):
+        cur = [k for k in range(len(edges)) if k not in dead]
+        for combo in itertools.combinations(cur, size):
+            if span(edges, combo) <= max_span and intact(combo):
+                kill(combo[-1])
+
+    for i in sorted(level_spans):
+        sweep(i, level_spans[i])
+        cur = [k for k in range(len(edges)) if k not in dead]
+        bad = [c for c in itertools.combinations(cur, e) if span(edges, c) <= v]
+        pairs = sorted(
+            (s1, s2)
+            for s1, s2 in itertools.combinations(bad, 2)
+            if len(set(s1) & set(s2)) == i
+            and span(edges, sorted(set(s1) & set(s2))) > level_spans[i]
+        )
+        for s1, s2 in pairs:
+            if intact(s1) and intact(s2):
+                kill(max(set(s1) | set(s2)))
+    for v_j, e_j in extra_targets:
+        sweep(e_j, v_j)
+    return removed

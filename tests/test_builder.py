@@ -9,6 +9,7 @@ import oracles
 from sparsehg import (
     BadRange,
     ConstructionParams,
+    Degenerate,
     DegenerateP,
     GcdCondition,
     RetriesExhausted,
@@ -24,9 +25,11 @@ from sparsehg import (
     plan,
     sample,
     serialize_hg,
+    span_bounded_systems,
     union_span,
     FreenessConstraint,
 )
+from sparsehg import builder, freeness
 
 
 # --- plan ------------------------------------------------------------------
@@ -216,6 +219,82 @@ def test_alter_counts_consistent(rng):
         assert trace.w_after == len(oracles.violations(h1.edges, 3, 6))
 
 
+def test_alter_matches_plain_alteration_rule():
+    # dense samples, so that pairs of bad e-systems entangle often; at
+    # (3, 6, 5, 8), seeds 77 and 134 remove edges in another order when a
+    # system's entangled partners are not visited in lexicographic order
+    cases = [
+        ((3, 3, 6, 10), 40, (), range(8)),
+        ((3, 4, 7, 9), 20, (), range(8)),
+        ((3, 3, 6, 12), 30, ((7, 4),), range(8)),
+        ((3, 6, 5, 8), None, (), (77, 134)),
+    ]
+    checked = 0
+    for (r, e, v, n), floor, extra, seeds in cases:
+        params0 = plan(r, e, v, n, extra, min_expected_edges=floor)
+        level_spans = {i: i * r - params0.f[i] for i in range(2, e)}
+        for seed in seeds:
+            params = dataclasses.replace(params0, seed=seed)
+            h0 = sample(params)
+            expected = oracles.alteration_removals(h0.edges, e, v, level_spans, extra)
+            try:
+                _, trace = alter(h0, params)
+            except Degenerate:
+                assert len(expected) == h0.m
+                continue
+            assert trace.removed_edges == expected
+            checked += sum(trace.z_removed.values()) > 0
+    assert checked >= 14
+
+
+def test_alter_bad_systems_match_fresh_enumeration():
+    # the sample is enumerated once; W_before, W_after and the surviving
+    # systems handed to build_aux must equal fresh enumerations, including
+    # the degenerate n <= v case where every e-subset is bad
+    cases = [((3, 3, 6, 24), None, 10), ((3, 6, 5, 12), None, 3), ((3, 3, 6, 6), 9, 6)]
+    checked = 0
+    for (r, e, v, n), floor, seeds in cases:
+        params0 = plan(r, e, v, n, min_expected_edges=floor)
+        for seed in range(seeds):
+            params = dataclasses.replace(params0, seed=seed)
+            h0 = sample(params)
+            try:
+                h1, trace = alter(h0, params)
+            except Degenerate:
+                continue
+            assert trace.w_before == len(span_bounded_systems(h0.edges, h0.masks, e, v))
+            fresh = span_bounded_systems(h1.edges, h1.masks, e, v)
+            assert list(trace.bad_after) == fresh
+            assert trace.w_after == len(fresh)
+            if h0.m <= 30:
+                assert trace.w_before == len(oracles.violations(h0.edges, e, v))
+                assert fresh == oracles.violations(h1.edges, e, v)
+            assert build_aux(h1, params, systems=trace.bad_after) == build_aux(h1, params)
+            checked += 1
+    assert checked >= 15
+
+
+def test_alter_and_build_aux_enumerate_bad_systems_once(monkeypatch):
+    calls = []
+
+    def counting(edges, masks, size, max_span, **kwargs):
+        calls.append((size, max_span))
+        return span_bounded_systems(edges, masks, size, max_span, **kwargs)
+
+    monkeypatch.setattr(builder, "span_bounded_systems", counting)
+    monkeypatch.setattr(freeness, "span_bounded_systems", counting)
+    for (r, e, v, n) in [(3, 3, 6, 48), (3, 6, 5, 12)]:
+        params0 = plan(r, e, v, n)
+        for seed in range(3):
+            params = dataclasses.replace(params0, seed=seed)
+            h0 = sample(params)
+            calls.clear()
+            h1, trace = alter(h0, params)
+            build_aux(h1, params, systems=trace.bad_after)
+            assert calls.count((e, v)) == 1
+            assert trace.w_before > 0
+
+
 # --- build_aux and independent_set ------------------------------------------
 
 
@@ -283,6 +362,12 @@ def test_construct_output_certified_by_oracle():
     edges = result.hypergraph.edges
     assert oracles.is_free(edges, 2, 4)
     assert oracles.is_free(edges, 3, 6)
+
+
+def test_construct_result_carries_certificate():
+    result = construct(3, 3, 6, 48, seed=3)
+    assert result.certificate.holds
+    assert result.certificate == check_profile(result.hypergraph, ladder_profile(3, 3, 6))
 
 
 def test_construct_seed7_spec_point():

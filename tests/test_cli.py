@@ -1,11 +1,13 @@
 """End-to-end command-line runs: exit codes, output files, report shapes,
 environment overrides, and determinism across worker counts."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
 
-from sparsehg import lrc
+from sparsehg import builder, freeness, lrc, parse_hg
 from sparsehg.cli import main
 
 CYCLE_HG = "7 3 3\n1 2 5\n1 3 7\n2 3 6\n"
@@ -51,6 +53,26 @@ def test_construct_writes_three_files(tmp_path, capsys):
     cert = json.loads((tmp_path / "g.cert.json").read_text())
     assert cert["verdict"]["holds"] is True
     assert cert["profile"] == [[2, 4], [3, 6]]
+
+
+def test_construct_certificate_is_checked_once(tmp_path, monkeypatch):
+    # the certificate file carries the verdict construct() already checked
+    calls = []
+    real = freeness.check_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].tag)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(freeness, "check_profile", counting)
+    monkeypatch.setattr(builder, "check_profile", counting)
+    rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
+               "--seed", "1", "--out", "g.hg"])
+    assert rc == 0
+    assert calls == ["ladder"]
+    cert = json.loads((tmp_path / "g.cert.json").read_text())
+    h = parse_hg((tmp_path / "g.hg").read_text())
+    assert cert["verdict"] == real(h, freeness.ladder_profile(3, 3, 6)).to_report()
 
 
 def test_construct_json_report(capsys):
@@ -117,6 +139,15 @@ def test_verify_berge(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["girth"] == 3
     assert len(report["witness"]["edges"]) == 3
+
+
+def test_verify_berge_budget_exit_three(tmp_path, capsys):
+    # the 20 triples on 6 points: 90 pairs share two points (Berge 2-cycles)
+    triples = itertools.combinations(range(1, 7), 3)
+    (tmp_path / "k6.hg").write_text("6 20 3\n" + "".join(f"{a} {b} {c}\n" for a, b, c in triples))
+    assert main(["verify", "k6.hg", "--berge", "3", "--budget", "89"]) == 3
+    assert "BudgetExceeded" in capsys.readouterr().err
+    assert main(["verify", "k6.hg", "--berge", "3", "--budget", "90"]) == 4
 
 
 def test_scaling_csv_and_slope(tmp_path, capsys):
@@ -216,6 +247,16 @@ def test_cbc_construct(tmp_path, capsys):
     assert rc == 0
     assert "servers" in capsys.readouterr().out
     assert main(["cbc", "verify", "c.hg", "--e", "5"]) == 0
+
+
+def test_cbc_construct_e6_bytes_pinned(tmp_path):
+    # the builder enumerates the sample's bad e-systems once and filters
+    # them by survival; the bytes must match the per-stage enumeration
+    rc = main(["cbc", "construct", "--r", "3", "--e", "6", "--n", "16",
+               "--seed", "7", "--out", "c6.hg"])
+    assert rc == 0
+    digest = hashlib.sha256((tmp_path / "c6.hg").read_bytes()).hexdigest()
+    assert digest == "5dc0c874951f7556baa057089ea81393a454346aff47bc79164cbca524553d05"
 
 
 def test_lrc_build_counting_bound(capsys):

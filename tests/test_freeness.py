@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -99,6 +100,63 @@ def test_span_bounded_systems_matches_unpruned(rng):
         max_span = rng.randint(3, 10)
         got = span_bounded_systems(h.edges, h.masks, size, max_span, simple=True)
         assert got == oracles.violations(h.edges, size, max_span)
+
+
+def _dense_hypergraph(rng, r, multi, m_max=14):
+    """Up to m_max r-edges on at most r + 5 vertices, so that many 5- and
+    6-edge systems span few vertices."""
+    n = rng.randint(r + 1, r + 5)
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    if multi:
+        raw = [rng.choice(pool) for _ in range(rng.randint(5, m_max))]
+    else:
+        raw = rng.sample(pool, rng.randint(min(5, len(pool)), min(m_max, len(pool))))
+    return canonicalize([list(e) for e in raw], n, multi=multi, r=r)
+
+
+def _root_threshold(r, size, max_span):
+    """s*: every system of `size` edges spanning <= max_span has a pair
+    sharing at least this many vertices."""
+    return max(1, -(-(size * r - max_span) // math.comb(size, 2)))
+
+
+def test_span_bounded_systems_tight_spans_match_oracle(rng):
+    # at s* = 1 or 2 nearly every pair of a system can root it, so the
+    # search cuts most branches for sorting a pair before their root
+    seen = set()
+    for _ in range(160):
+        r = rng.choice((3, 4))
+        multi = rng.random() < 0.5
+        h = _dense_hypergraph(rng, r, multi)
+        size = rng.choice((5, 6))
+        bands: dict[int, list[int]] = {}
+        for span in range(r, size * r):
+            bands.setdefault(_root_threshold(r, size, span), []).append(span)
+        max_span = rng.choice(bands[rng.choice([s for s in (1, 2) if s in bands])])
+        got = span_bounded_systems(h.edges, h.masks, size, max_span, simple=not multi)
+        assert got == oracles.violations(h.edges, size, max_span)
+        if got:
+            seen.add((size, _root_threshold(r, size, max_span), multi))
+    assert seen == {(size, s, multi) for size in (5, 6) for s in (1, 2) for multi in (False, True)}
+
+
+def test_span_bounded_systems_budget_counts_each_system_once(rng):
+    # the budget caps distinct systems: it fires exactly when their number
+    # passes it, however many roots could have reached each one
+    checked = 0
+    for _ in range(40):
+        h = _dense_hypergraph(rng, 3, multi=rng.random() < 0.5, m_max=12)
+        size = rng.choice((5, 6))
+        max_span = rng.randint(size - 1, size + 1)
+        total = len(oracles.violations(h.edges, size, max_span))
+        if total == 0:
+            continue
+        got = span_bounded_systems(h.edges, h.masks, size, max_span, budget=total)
+        assert len(got) == total
+        with pytest.raises(BudgetExceeded):
+            span_bounded_systems(h.edges, h.masks, size, max_span, budget=total - 1)
+        checked += 1
+    assert checked >= 10
 
 
 def test_span_bounded_systems_budget():
