@@ -3,19 +3,22 @@
 A constraint (e, v) demands that every e distinct edges span at least v+1
 vertices.  The enumeration kernel below finds all e-subsets whose union
 spans at most v vertices.  Rather than scanning all C(m, e) subsets it
-roots the search at an edge pair sharing enough vertices: any violating
-system with v < e*r must contain a pair sharing at least
-ceil((e*r - v) / C(e, 2)) vertices, so rooting at the lexicographically
-smallest such pair enumerates every system exactly once.  A branch that
-already holds a qualifying pair sorting before its root is cut, so a
-system is rarely built under a root that is not its own.
+roots the search at an edge pair sharing enough vertices.  The pair
+shares of a system sum to sum_x C(deg(x), 2), where deg(x) counts its
+edges through vertex x; e*r incidences on at most v vertices make that sum
+least when spread evenly, so by convexity every violating system with
+r <= v < e*r holds a pair sharing at least s* = ceil(least / C(e, 2))
+vertices.  Rooting at the lexicographically smallest such pair enumerates
+every system exactly once.  A branch that already holds a qualifying pair
+sorting before its root is cut, so a system is rarely built under a root
+that is not its own.  The search keeps its candidate edges, and the edges
+it cuts, as bitsets over edge indices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -102,47 +105,30 @@ class BergeCycle:
     edges: tuple[int, ...]
 
 
-def vertex_index(edges) -> dict[int, list[int]]:
-    """Map each vertex to the ascending list of edge indices containing it."""
-    index: dict[int, list[int]] = {}
-    for i, edge in enumerate(edges):
-        for v in edge:
-            index.setdefault(v, []).append(i)
-    return index
-
-
-def _mask_vertices(mask: int) -> list[int]:
-    """The vertices of a bitmask (bit v-1 is vertex v), ascending."""
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        out.append(low.bit_length() - 1)
         mask ^= low
     return out
 
 
-def _sharing_pairs(edges, masks, threshold: int, index=None) -> list[tuple[int, int]]:
-    """All edge-index pairs sharing at least `threshold` vertices, sorted."""
-    m = len(edges)
-    if threshold < 1:
-        raise BadRange("sharing threshold must be >= 1")
-    if index is None:
-        index = vertex_index(edges)
-    # Direct pairwise popcount beats the co-occurrence walk on dense degrees.
-    cooc_cost = sum(comb(len(lst), 2) for lst in index.values())
-    if comb(m, 2) < cooc_cost:
-        out = []
-        for i in range(m):
-            mi = masks[i]
-            for j in range(i + 1, m):
-                if (mi & masks[j]).bit_count() >= threshold:
-                    out.append((i, j))
-        return out
-    counts: Counter[tuple[int, int]] = Counter()
-    for lst in index.values():
-        for pair in itertools.combinations(lst, 2):
-            counts[pair] += 1
-    return sorted(p for p, c in counts.items() if c >= threshold)
+def _mask_vertices(mask: int) -> list[int]:
+    """The vertices of a bitmask (bit v-1 is vertex v), ascending."""
+    return [b + 1 for b in _bit_indices(mask)]
+
+
+def _root_threshold(r: int, size: int, max_span: int) -> int:
+    """s*: any `size` r-edges spanning at most max_span vertices, where
+    r <= max_span < size*r, hold a pair sharing at least this many (the
+    convexity bound of the module docstring).  Since C(d, 2) >= d - 1, it
+    is never below the excess bound ceil((size*r - max_span) / C(size, 2)).
+    """
+    q, rem = divmod(size * r, max_span)
+    least = rem * comb(q + 1, 2) + (max_span - rem) * comb(q, 2)
+    return -(-least // comb(size, 2))
 
 
 def span_bounded_systems(
@@ -166,8 +152,10 @@ def span_bounded_systems(
     if size < 1 or m < size:
         return []
     r = len(edges[0])
+    if max_span < r:
+        return []  # no edge fits
     if size == 1:
-        return [(i,) for i in range(m)] if r <= max_span else []
+        return [(i,) for i in range(m)]
     if simple:
         u = r
         while comb(u, r) < size:
@@ -180,18 +168,40 @@ def span_bounded_systems(
             raise BudgetExceeded(f"{total} span-bounded systems exceed budget {budget}")
         return list(itertools.combinations(range(m), size))
 
-    excess = size * r - max_span
-    s_star = max(1, -(-excess // comb(size, 2)))
-    index = vertex_index(edges)
+    # Sets of edges are bitsets over edge indices.  inc[b] holds the edges
+    # containing vertex b+1; a list `level` of bitsets, level[0] = every
+    # edge, has in level[t] the edges holding at least t of the vertices
+    # added to it so far, and adding one vertex costs len(level) operations.
+    everything = (1 << m) - 1
+    inc = [0] * max(mk.bit_length() for mk in masks)
+    for k, mk in enumerate(masks):
+        for b in _bit_indices(mk):
+            inc[b] |= 1 << k
+
+    def add_vertices(level: list[int], vertices: int):
+        for b in _bit_indices(vertices):
+            ib = inc[b]
+            for t in range(len(level) - 1, 0, -1):
+                level[t] |= level[t - 1] & ib
+
+    def sharing(k: int, s: int) -> int:
+        """The edges sharing at least s vertices with edge k (k included)."""
+        level = [everything] + [0] * s
+        add_vertices(level, masks[k])
+        return level[s]
+
     if size == 2:
         # exact threshold: span(a, b) <= max_span iff |a & b| >= 2r - max_span
         need = 2 * r - max_span
-        pairs = _sharing_pairs(edges, masks, need, index)
+        pairs = [
+            (i, j) for i in range(m) for j in _bit_indices(sharing(i, need) >> (i + 1) << (i + 1))
+        ]
         if budget is not None and len(pairs) > budget:
             raise BudgetExceeded(f"{len(pairs)} span-bounded pairs exceed budget {budget}")
         return pairs
 
-    roots = _sharing_pairs(edges, masks, s_star, index)
+    s_star = _root_threshold(r, size, max_span)
+    shares = [sharing(k, s_star) for k in range(m)]
     results: list[tuple[int, ...]] = []
 
     def lexmin_pair(system: tuple[int, ...]) -> tuple[int, int]:
@@ -209,57 +219,46 @@ def span_bounded_systems(
                     f"span-bounded system count exceeds budget {budget}"
                 )
 
-    for i, j in roots:
-        u0 = masks[i] | masks[j]
-        span0 = u0.bit_count()
-        if span0 > max_span:
-            continue
-        mi, mj = masks[i], masks[j]
+    def rec(chosen: tuple[int, ...], u: int, span: int, start: int, level: list[int], forbid: int):
+        """Extend root (i, j) plus `chosen`, whose union u spans `span`
+        vertices and meets the edges of level[t] in >= t vertices, by edges
+        from `start` on.  `forbid` holds the edges that would form, with
+        the root or with `chosen`, a qualifying pair sorting before the
+        root; pairs only accumulate down a branch, so none of them could
+        be part of a system emitted under this root."""
+        t = size - 2 - len(chosen)
+        cap = max_span - span
+        if cap >= t * r:
+            # any t further edges fit inside the span budget
+            pool = _bit_indices(everything >> start << start & ~forbid)
+            for combo in itertools.combinations(pool, t):
+                emit(i, j, chosen + combo)
+            return
+        # with cap < r the next edge must reuse at least r - cap spanned
+        # vertices; with cap >= r any edge fits
+        cands = (everything if cap >= r else level[r - cap]) >> start << start
+        for k in _bit_indices(cands & ~forbid):
+            if t == 1:
+                emit(i, j, chosen + (k,))
+                continue
+            new = masks[k] & ~u
+            child = level[:]
+            add_vertices(child, new)
+            cut = shares[k] if k < i else shares[k] & below_i
+            rec(chosen + (k,), u | new, span + new.bit_count(), k + 1, child, forbid | cut)
 
-        def precedes_root(k: int, chosen: tuple[int, ...]) -> bool:
-            """Does k form a qualifying pair that sorts before (i, j)?  Pairs
-            only accumulate down a branch, so no extension would be emitted."""
-            mk = masks[k]
-            if k < j and (mk & mi).bit_count() >= s_star:
-                return True
-            if k < i and (mk & mj).bit_count() >= s_star:
-                return True
-            for x in chosen:
-                if (k < i or x < i) and (mk & masks[x]).bit_count() >= s_star:
-                    return True
-            return False
-
-        def rec(chosen: tuple[int, ...], u: int, span: int, start: int):
-            t = size - 2 - len(chosen)
-            if t == 0:
-                emit(i, j, chosen)
-                return
-            cap = max_span - span
-            if cap >= t * r:
-                # any t further edges fit inside the span budget
-                pool = [k for k in range(start, m) if k != i and k != j]
-                for combo in itertools.combinations(pool, t):
-                    emit(i, j, chosen + combo)
-                return
-            if cap >= r:
-                cands = (k for k in range(start, m) if k != i and k != j)
-            else:
-                # the next edge must reuse at least r - cap spanned vertices
-                need = r - cap
-                near: set[int] = set()
-                for v in _mask_vertices(u):
-                    near.update(index.get(v, ()))
-                cands = sorted(
-                    k for k in near
-                    if k >= start and k != i and k != j and (masks[k] & u).bit_count() >= need
-                )
-            for k in cands:
-                u2 = u | masks[k]
-                span2 = u2.bit_count()
-                if span2 <= max_span and not precedes_root(k, chosen):
-                    rec(chosen + (k,), u2, span2, k + 1)
-
-        rec((), u0, span0, 0)
+    for i in range(m):
+        below_i = (1 << i) - 1
+        for j in _bit_indices(shares[i] >> (i + 1) << (i + 1)):
+            u0 = masks[i] | masks[j]
+            span0 = u0.bit_count()
+            if span0 > max_span:
+                continue
+            level = [everything] + [0] * r
+            add_vertices(level, u0)
+            # the pairs (k, i) and (k, j) sorting before (i, j)
+            forbid = (shares[i] & ((1 << j) - 1)) | (shares[j] & below_i) | (1 << i) | (1 << j)
+            rec((), u0, span0, 0, level, forbid)
 
     results.sort()
     return results

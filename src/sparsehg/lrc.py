@@ -72,20 +72,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise BadRange(f"{self.q} is not prime")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise BadRange("zero has no inverse")
-        return pow(a, self.q - 2, self.q)
-
     def pow(self, a: int, k: int) -> int:
         return pow(a, k, self.q)
 

@@ -24,6 +24,7 @@ from sparsehg import (
     union_span,
     validate_berge_cycle,
 )
+from sparsehg.freeness import _root_threshold
 
 
 # --- single-constraint checks -------------------------------------------
@@ -114,12 +115,6 @@ def _dense_hypergraph(rng, r, multi, m_max=14):
     return canonicalize([list(e) for e in raw], n, multi=multi, r=r)
 
 
-def _root_threshold(r, size, max_span):
-    """s*: every system of `size` edges spanning <= max_span has a pair
-    sharing at least this many vertices."""
-    return max(1, -(-(size * r - max_span) // math.comb(size, 2)))
-
-
 def test_span_bounded_systems_tight_spans_match_oracle(rng):
     # at s* = 1 or 2 nearly every pair of a system can root it, so the
     # search cuts most branches for sorting a pair before their root
@@ -138,6 +133,66 @@ def test_span_bounded_systems_tight_spans_match_oracle(rng):
         if got:
             seen.add((size, _root_threshold(r, size, max_span), multi))
     assert seen == {(size, s, multi) for size in (5, 6) for s in (1, 2) for multi in (False, True)}
+
+
+def test_root_threshold_holds_on_every_violating_system(rng):
+    assert _root_threshold(3, 6, 5) == 2  # cbc-e6's (6, 5) level
+    assert _root_threshold(3, 3, 6) == 1  # the (3, 3, 6) ladder's top level
+    checked = 0
+    for _ in range(150):
+        r = rng.choice((3, 4))
+        h = _dense_hypergraph(rng, r, multi=rng.random() < 0.5, m_max=10)
+        size = rng.randint(3, 6)
+        max_span = rng.randint(r, size * r - 1)
+        s_star = _root_threshold(r, size, max_span)
+        assert s_star >= max(1, -(-(size * r - max_span) // math.comb(size, 2)))
+        for system in oracles.violations(h.edges, size, max_span):
+            assert any(
+                len(set(h.edges[a]) & set(h.edges[b])) >= s_star
+                for a, b in itertools.combinations(system, 2)
+            )
+            checked += 1
+    assert checked >= 1000
+
+
+def test_span_bounded_systems_differential(rng):
+    # the bitset search against the oracle at every span from r up, simple
+    # graphs and multigraphs, and the budget edge at one span of each graph
+    cases = budgeted = 0
+    while cases < 1000:
+        r = rng.choice((3, 4))
+        multi = rng.random() < 0.5
+        h = _dense_hypergraph(rng, r, multi, m_max=16)
+        size = rng.randint(3, 6)
+        # h has at most r + 5 vertices, so that span admits every size-subset
+        spans = {c: oracles.span(h.edges, c) for c in oracles.violations(h.edges, size, r + 5)}
+        answers = {}
+        for max_span in range(r, r + 6):
+            want = [c for c, span in spans.items() if span <= max_span]
+            assert span_bounded_systems(h.edges, h.masks, size, max_span, simple=not multi) == want
+            answers[max_span] = want
+            cases += 1
+        nonempty = [max_span for max_span, want in answers.items() if want]
+        if nonempty:
+            max_span = rng.choice(nonempty)
+            want = answers[max_span]
+            assert span_bounded_systems(h.edges, h.masks, size, max_span, budget=len(want)) == want
+            with pytest.raises(BudgetExceeded):
+                span_bounded_systems(h.edges, h.masks, size, max_span, budget=len(want) - 1)
+            budgeted += 1
+    assert budgeted >= 100
+
+
+def test_span_bounded_systems_spans_below_r_are_empty():
+    # no edge fits in fewer than r vertices, whatever the size
+    for r in (3, 4):
+        simple = canonicalize([list(e) for e in itertools.combinations(range(1, r + 3), r)], r + 2, r=r)
+        dup = canonicalize([list(range(1, r + 1))] * 4 + [list(range(2, r + 2))], r + 1, multi=True, r=r)
+        for h in (simple, dup):
+            for size in range(1, 6):
+                for max_span in (0, 1, r - 1):
+                    for flag in {False, not h.multi}:
+                        assert span_bounded_systems(h.edges, h.masks, size, max_span, simple=flag) == []
 
 
 def test_span_bounded_systems_budget_counts_each_system_once(rng):
