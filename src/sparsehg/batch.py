@@ -134,8 +134,10 @@ def construct_cbc(
         min_expected_edges=min_expected_edges,
         budget=budget,
     )
-    h = result.hypergraph
-    verdict = check_cbc(h, e, budget=budget)
+    # with every margin nonnegative, each ladder rung (i, i*r - f(i)) the
+    # certificate checked implies the deficit rung (i, i - 1), and the rung
+    # i = 1 holds for any edge; check_cbc would repeat the same searches
+    verdict = result.certificate
     if not verdict.holds:
-        raise CertificationFailed(f"certification failed: deficient subset {verdict.witness}")
-    return h
+        raise CertificationFailed(f"certification failed: {verdict.constraint} {verdict.witness}")
+    return result.hypergraph

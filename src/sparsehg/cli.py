@@ -425,7 +425,6 @@ def _n_ladder(text: str) -> list[int]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
-    common.add_argument("--jobs", type=int, default=_env_default("jobs", int, 1))
     common.add_argument("--budget", type=int, default=_env_default("budget", int, None))
     common.add_argument(
         "--json", action="store_true", default=_env_flag("json"), help="machine-readable output"
@@ -465,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--n", type=_n_ladder, required=True, metavar="N1,N2,...")
     p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--jobs", type=int, default=_env_default("jobs", int, 1), help="worker processes")
     p.add_argument("--timings", action="store_true", help="record wall-clock runtime per cell")
     p.add_argument("--out", default="scaling.csv")
     p.set_defaults(func=run_scaling)

@@ -2,17 +2,27 @@
 
 A constraint (e, v) demands that every e distinct edges span at least v+1
 vertices.  The enumeration kernel below finds all e-subsets whose union
-spans at most v vertices.  Rather than scanning all C(m, e) subsets it
-roots the search at an edge pair sharing enough vertices.  The pair
-shares of a system sum to sum_x C(deg(x), 2), where deg(x) counts its
-edges through vertex x; e*r incidences on at most v vertices make that sum
-least when spread evenly, so by convexity every violating system with
-r <= v < e*r holds a pair sharing at least s* = ceil(least / C(e, 2))
-vertices.  Rooting at the lexicographically smallest such pair enumerates
-every system exactly once.  A branch that already holds a qualifying pair
-sorting before its root is cut, so a system is rarely built under a root
-that is not its own.  The search keeps its candidate edges, and the edges
-it cuts, as bitsets over edge indices.
+spans at most v vertices, by one of two exact routes; which one depends
+only on its inputs.
+
+The pair route serves every level.  The pair shares of a system sum to
+sum_x C(deg(x), 2), where deg(x) counts its edges through vertex x; e*r
+incidences on at most v vertices make that sum least when spread evenly,
+so by convexity every violating system with r <= v < e*r holds a pair
+sharing at least s* = ceil(least / C(e, 2)) vertices.  Rooting at the
+lexicographically smallest such pair enumerates every system exactly
+once.  A branch that already holds a qualifying pair sorting before its
+root is cut, so a system is rarely built under a root that is not its
+own.  The search keeps its candidate edges, and the edges it cuts, as
+bitsets over edge indices.
+
+The vertex route serves tight levels of simple graphs: v is the fewest
+vertices that e distinct r-edges can span, so every system spans exactly
+v vertices and lies inside exactly one v-set of vertices.  It walks the
+v-sets of the vertices the edges touch, pruned by the edges still inside
+them, and emits every e-subset of the edges inside each.  It takes e >= 3
+only where there are at most C(m, 2) such v-sets, as many as the pair
+route's possible roots.
 """
 
 from __future__ import annotations
@@ -146,7 +156,8 @@ def span_bounded_systems(
     of systems; exceeding it raises BudgetExceeded.  With `simple=True` the
     edges are promised pairwise distinct, so a union of `size` of them spans
     at least the smallest u with C(u, r) >= size; spans below that are pruned
-    without scanning.
+    without scanning, and a tight level (max_span == u) on few enough
+    vertices takes the vertex route.
     """
     m = len(edges)
     if size < 1 or m < size:
@@ -167,16 +178,87 @@ def span_bounded_systems(
         if budget is not None and total > budget:
             raise BudgetExceeded(f"{total} span-bounded systems exceed budget {budget}")
         return list(itertools.combinations(range(m), size))
+    # the vertex route walks C(support, max_span) vertex sets at most; the
+    # pair route roots at up to C(m, 2) pairs (size 2 is a closed form there)
+    if simple and size >= 3 and max_span == u:
+        support = 0
+        for mk in masks:
+            support |= mk
+        if comb(support.bit_count(), max_span) <= comb(m, 2):
+            return _vertex_route(masks, size, max_span, budget)
+    return _pair_route(masks, size, max_span, budget)
 
-    # Sets of edges are bitsets over edge indices.  inc[b] holds the edges
-    # containing vertex b+1; a list `level` of bitsets, level[0] = every
-    # edge, has in level[t] the edges holding at least t of the vertices
-    # added to it so far, and adding one vertex costs len(level) operations.
-    everything = (1 << m) - 1
+
+def _incidence(masks) -> list[int]:
+    """inc[b]: the edges containing vertex b+1, as a bitset over edge indices."""
     inc = [0] * max(mk.bit_length() for mk in masks)
     for k, mk in enumerate(masks):
         for b in _bit_indices(mk):
             inc[b] |= 1 << k
+    return inc
+
+
+def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) -> list[tuple[int, ...]]:
+    """The systems of a tight level: pairwise-distinct edges, any `size` of
+    which span at least max_span vertices, with 3 <= size and
+    r <= max_span < size*r.
+
+    Each system then spans exactly max_span vertices, so it lies inside
+    exactly one max_span-set V of the vertices the edges touch, and every
+    `size` edges inside V form a system.  A depth-first search picks V in
+    ascending vertex order, keeping `inside`, the edges that avoid every
+    vertex it skipped, and cuts a branch once fewer than `size` remain.
+    No system is reached twice, so the budget counts C(|E(V)|, size) per V
+    before any tuple is built.
+    """
+    inc = _incidence(masks)
+    verts = [b for b, ib in enumerate(inc) if ib]
+    # closed[p]: the edges whose vertices all lie in verts[:p + 1]
+    by_top = [0] * len(inc)
+    for k, mk in enumerate(masks):
+        by_top[mk.bit_length() - 1] |= 1 << k
+    closed, acc = [], 0
+    for b in verts:
+        acc |= by_top[b]
+        closed.append(acc)
+    results: list[tuple[int, ...]] = []
+    found = 0
+
+    def rec(p: int, need: int, inside: int):
+        """Pick the next of `need` vertices of V from verts[p:]."""
+        nonlocal found
+        for q in range(p, len(verts) - need + 1):
+            if need > 1:
+                rec(q + 1, need - 1, inside)
+            else:
+                within = inside & closed[q]
+                count = within.bit_count()
+                if count >= size:
+                    found += comb(count, size)
+                    if budget is not None and found > budget:
+                        raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
+                    results.extend(itertools.combinations(_bit_indices(within), size))
+            inside &= ~inc[verts[q]]  # skip verts[q] from here on
+            if inside.bit_count() < size:
+                return
+
+    rec(0, max_span, (1 << len(masks)) - 1)
+    results.sort()
+    return results
+
+
+def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> list[tuple[int, ...]]:
+    """The systems of any level with 2 <= size and r <= max_span < size*r,
+    rooted at their lexicographically first pair sharing at least s*
+    vertices (the convexity bound of the module docstring)."""
+    m = len(masks)
+    r = masks[0].bit_count()
+    # Sets of edges are bitsets over edge indices.  A list `level` of
+    # bitsets, level[0] = every edge, has in level[t] the edges holding at
+    # least t of the vertices added to it so far, and adding one vertex
+    # costs len(level) operations.
+    everything = (1 << m) - 1
+    inc = _incidence(masks)
 
     def add_vertices(level: list[int], vertices: int):
         for b in _bit_indices(vertices):

@@ -131,6 +131,19 @@ def test_construct_cbc_36_certified():
     assert oracles.sdr_all_subsets(h.edges, 6) if h.m <= 10 else True
 
 
+def test_construct_cbc_outputs_pass_both_routes():
+    # construct_cbc relies on the ladder certificate; the span and the
+    # matching routes must still confirm every output
+    matched = 0
+    for seed in range(10):
+        h = construct_cbc(3, 6, 8, seed=seed)
+        assert check_cbc(h, 6).holds
+        if h.m <= 20:
+            assert check_sdr_all(h, 6).holds
+            matched += 1
+    assert matched >= 8
+
+
 def test_construct_cbc_deterministic():
     a = construct_cbc(3, 5, 20, seed=5)
     b = construct_cbc(3, 5, 20, seed=5)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from sparsehg import builder, freeness, lrc, parse_hg
-from sparsehg.cli import main
+from sparsehg.cli import build_parser, main
 
 CYCLE_HG = "7 3 3\n1 2 5\n1 3 7\n2 3 6\n"
 DISJOINT_HG = "6 2 3\n1 2 3\n4 5 6\n"
@@ -172,6 +172,15 @@ def test_scaling_deterministic_across_jobs(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_jobs_is_a_scaling_flag(tmp_path, monkeypatch, capsys):
+    (tmp_path / "d.hg").write_text(DISJOINT_HG)
+    assert main(["verify", "d.hg", "--e", "2", "--v", "5", "--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    monkeypatch.setenv("SPARSEHG_JOBS", "2")
+    args = build_parser().parse_args(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64"])
+    assert args.jobs == 2
+
+
 def test_scaling_timings_fill_the_column(tmp_path):
     main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64",
           "--trials", "1", "--seed", "1", "--out", "t.csv", "--timings"])
@@ -256,6 +265,7 @@ def test_cbc_construct_e6_bytes_pinned(tmp_path):
         7: "5dc0c874951f7556baa057089ea81393a454346aff47bc79164cbca524553d05",
         20: "ffced0f8c89eda78d3e437b5975cdee8b5f45694b16759b91902087b562b2b1c",
         23: "aff276b08a6c4aed8ae528a94287bf92ce8286831e3791757e4f0938cacb15e9",
+        28: "6566e1897a6f8106b5661a131b2b4d38d55aa4ee43673a01208943fccc4aaeb1",
     }
     for seed, expected in pinned.items():
         rc = main(["cbc", "construct", "--r", "3", "--e", "6", "--n", "16",
@@ -263,6 +273,25 @@ def test_cbc_construct_e6_bytes_pinned(tmp_path):
         assert rc == 0
         digest = hashlib.sha256((tmp_path / f"c6-{seed}.hg").read_bytes()).hexdigest()
         assert digest == expected, seed
+
+
+def test_vertex_route_takes_only_tight_levels(monkeypatch):
+    # cbc-e6's (6, 5) and (4, 4) levels are tight; the (3, 3, 6) ladder and
+    # construct_lrc's kernel calls (all at size 2) never reach the route
+    levels = []
+    real = freeness._vertex_route
+
+    def counting(masks, size, max_span, budget=None):
+        levels.append((size, max_span))
+        return real(masks, size, max_span, budget)
+
+    monkeypatch.setattr(freeness, "_vertex_route", counting)
+    assert main(["cbc", "construct", "--r", "3", "--e", "6", "--n", "16", "--out", "c6.hg"]) == 0
+    assert {(6, 5), (4, 4)} <= set(levels)
+    levels.clear()
+    builder.construct(3, 3, 6, 128, seed=0)
+    lrc.construct_lrc(23, 10, 11, 2, seed=0)
+    assert levels == []
 
 
 def test_lrc_build_counting_bound(capsys):

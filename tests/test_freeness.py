@@ -24,7 +24,7 @@ from sparsehg import (
     union_span,
     validate_berge_cycle,
 )
-from sparsehg.freeness import _root_threshold
+from sparsehg.freeness import _pair_route, _root_threshold, _vertex_route
 
 
 # --- single-constraint checks -------------------------------------------
@@ -128,7 +128,7 @@ def test_span_bounded_systems_tight_spans_match_oracle(rng):
         for span in range(r, size * r):
             bands.setdefault(_root_threshold(r, size, span), []).append(span)
         max_span = rng.choice(bands[rng.choice([s for s in (1, 2) if s in bands])])
-        got = span_bounded_systems(h.edges, h.masks, size, max_span, simple=not multi)
+        got = _pair_route(h.masks, size, max_span)
         assert got == oracles.violations(h.edges, size, max_span)
         if got:
             seen.add((size, _root_threshold(r, size, max_span), multi))
@@ -156,7 +156,7 @@ def test_root_threshold_holds_on_every_violating_system(rng):
 
 
 def test_span_bounded_systems_differential(rng):
-    # the bitset search against the oracle at every span from r up, simple
+    # the pair route against the oracle at every span from r up, simple
     # graphs and multigraphs, and the budget edge at one span of each graph
     cases = budgeted = 0
     while cases < 1000:
@@ -169,18 +169,56 @@ def test_span_bounded_systems_differential(rng):
         answers = {}
         for max_span in range(r, r + 6):
             want = [c for c, span in spans.items() if span <= max_span]
-            assert span_bounded_systems(h.edges, h.masks, size, max_span, simple=not multi) == want
+            assert _pair_route(h.masks, size, max_span) == want
             answers[max_span] = want
             cases += 1
         nonempty = [max_span for max_span, want in answers.items() if want]
         if nonempty:
             max_span = rng.choice(nonempty)
             want = answers[max_span]
-            assert span_bounded_systems(h.edges, h.masks, size, max_span, budget=len(want)) == want
+            assert _pair_route(h.masks, size, max_span, budget=len(want)) == want
             with pytest.raises(BudgetExceeded):
-                span_bounded_systems(h.edges, h.masks, size, max_span, budget=len(want) - 1)
+                _pair_route(h.masks, size, max_span, budget=len(want) - 1)
             budgeted += 1
     assert budgeted >= 100
+
+
+def _tight_level(rng):
+    """A random simple r-graph of up to 16 edges and its tight level for a
+    random size: u is the fewest vertices that `size` distinct r-edges can
+    span.  The graph has u vertices or a few more, and its edges may leave
+    some of them untouched."""
+    r = rng.choice((2, 3, 4))
+    size = rng.randint(3, 6)
+    u = r
+    while math.comb(u, r) < size:
+        u += 1
+    n = u if rng.random() < 0.25 else rng.randint(u + 1, u + 6)
+    touched = rng.sample(range(1, n + 1), rng.randint(u, n))
+    pool = list(itertools.combinations(sorted(touched), r))
+    edges = rng.sample(pool, rng.randint(size, min(16, len(pool))))
+    return canonicalize([list(e) for e in edges], n, r=r), size, u
+
+
+def test_span_bounded_system_routes_on_tight_levels(rng):
+    # both routes and the dispatching kernel against the oracle, and the
+    # vertex route's budget edge
+    seen = set()
+    for _ in range(400):
+        h, size, u = _tight_level(rng)
+        want = oracles.violations(h.edges, size, u)
+        assert _vertex_route(h.masks, size, u) == want
+        assert _pair_route(h.masks, size, u) == want
+        assert span_bounded_systems(h.edges, h.masks, size, u, simple=True) == want
+        if not want:
+            continue
+        assert _vertex_route(h.masks, size, u, budget=len(want)) == want
+        with pytest.raises(BudgetExceeded):
+            _vertex_route(h.masks, size, u, budget=len(want) - 1)
+        support = len({x for edge in h.edges for x in edge})
+        seen.add((h.r, size, "nv == max_span" if h.n == u else "untouched" if support < h.n else "other"))
+    assert {(r, size) for r, size, _ in seen} == {(r, size) for r in (2, 3, 4) for size in range(3, 7)}
+    assert {"nv == max_span", "untouched"} <= {shape for _, _, shape in seen}
 
 
 def test_span_bounded_systems_spans_below_r_are_empty():
