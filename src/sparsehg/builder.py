@@ -265,10 +265,12 @@ def alter(
     For each level i = 2..e-1 ascending: enumerate the current i-subsets
     spanning at most i*r - f(i) and remove the greatest edge of each
     still-intact one; then, for pairs of current bad e-systems (e edges
-    spanning at most v) sharing precisely i edges whose shared union spans
-    at least i*r - f(i) + 1, remove the greatest edge of the pair's union.
-    Extra targets are swept last.  The output is re-checked against every
-    per-level constraint.
+    spanning at most v) sharing precisely i edges, remove the greatest edge
+    of the pair's union.  The level-i deletion leaves every i current edges
+    spanning more than i*r - f(i), so the shared edges of such a pair do
+    too.  Extra targets are swept last.  Deleting edges keeps every level
+    free, so the level guarantees are certified once, on the final output,
+    by `construct`.
 
     The bad e-systems are enumerated once, on the sample: alteration only
     deletes edges, so those of any later hypergraph are the sample's bad
@@ -288,22 +290,30 @@ def alter(
     def sub_systems(size: int, max_span: int) -> list[tuple[int, ...]]:
         """Systems of the current hypergraph, as original-index tuples."""
         sub = alive_indices()
-        sub_edges = [edges[k] for k in sub]
-        sub_masks = [masks[k] for k in sub]
-        found = span_bounded_systems(sub_edges, sub_masks, size, max_span, budget=budget, simple=True)
+        found = span_bounded_systems([masks[k] for k in sub], size, max_span, budget=budget, simple=True)
         return [tuple(sub[a] for a in s) for s in found]
 
-    def remove(k: int):
-        alive[k] = False
-        trace.removed_edges.append(edges[k])
+    def break_each(systems) -> int:
+        """Remove the greatest edge of each system still intact, in the
+        given order; the number of edges removed."""
+        removed = 0
+        for s in systems:
+            if all(alive[k] for k in s):
+                top = max(s)
+                alive[top] = False
+                trace.removed_edges.append(edges[top])
+                removed += 1
+        return removed
 
-    if m >= e and v >= min(e * r, _support(masks)):
-        # every e-subset is bad, and stays so after any deletion while e
-        # edges survive: current_bad lists them itself, so none are stored
+    # with v at least the sample's support, every e-subset is bad and stays
+    # so after any deletion (support only shrinks): current_bad lists them
+    # itself, so none are stored
+    all_bad = v >= _support(masks)
+    if all_bad:
         bad = []
         trace.w_before = comb(m, e)
     else:
-        bad = span_bounded_systems(edges, masks, e, v, budget=budget, simple=True)
+        bad = span_bounded_systems(masks, e, v, budget=budget, simple=True)
         trace.w_before = len(bad)
 
     def current_bad() -> list[tuple[int, ...]]:
@@ -311,7 +321,7 @@ def alter(
         tuples in lexicographic order."""
         nonlocal bad
         cur = alive_indices()
-        if len(cur) >= e and v >= min(e * r, _support([masks[k] for k in cur])):
+        if all_bad:
             if comb(len(cur), e) > budget:
                 raise BudgetExceeded(
                     f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad"
@@ -323,20 +333,12 @@ def alter(
     for i in range(2, e):
         thr = i * r - f[i]
         cur = alive_indices()
-        removed_here = 0
-        support = _support([masks[k] for k in cur])
-        if cur and thr >= min(i * r, support):
+        if thr >= _support([masks[k] for k in cur]):
             # every i-subset violates: keeping the first i-1 edges and
             # removing the rest matches lexicographic processing exactly
-            for k in cur[i - 1 :]:
-                remove(k)
-                removed_here += 1
+            trace.y_removed[i] = break_each((k,) for k in cur[i - 1 :])
         else:
-            for s in sub_systems(i, thr):
-                if all(alive[k] for k in s):
-                    remove(s[-1])
-                    removed_here += 1
-        trace.y_removed[i] = removed_here
+            trace.y_removed[i] = break_each(sub_systems(i, thr))
 
         # entangled pairs of current bad e-systems sharing precisely i edges,
         # visited in lexicographic order of (s1, s2): one s1 at a time, so
@@ -346,12 +348,7 @@ def alter(
         for s in current:
             for t in itertools.combinations(s, i):
                 buckets.setdefault(t, []).append(s)
-        pair_thr = i * r - f[i] + 1
-        shared = {
-            t: members
-            for t, members in buckets.items()
-            if len(members) >= 2 and _support([masks[k] for k in t]) >= pair_thr
-        }
+        shared = {t: members for t, members in buckets.items() if len(members) >= 2}
         removed_here = 0
         for s1 in current:
             if not all(alive[k] for k in s1):
@@ -362,20 +359,11 @@ def alter(
                 for s2 in shared.get(t, ())
                 if s2 > s1 and len(set(s1).intersection(s2)) == i
             )
-            for s2 in partners:
-                both = set(s1) | set(s2)
-                if all(alive[k] for k in both):
-                    remove(max(both))
-                    removed_here += 1
+            removed_here += break_each(set(s1).union(s2) for s2 in partners)
         trace.z_removed[i] = removed_here
 
     for j, (v_j, e_j) in enumerate(params.extra_targets):
-        removed_here = 0
-        for s in sub_systems(e_j, v_j):
-            if all(alive[k] for k in s):
-                remove(s[-1])
-                removed_here += 1
-        trace.extra_removed[j] = removed_here
+        trace.extra_removed[j] = break_each(sub_systems(e_j, v_j))
 
     survivors = alive_indices()
     if not survivors:
@@ -384,16 +372,6 @@ def alter(
     position = {k: a for a, k in enumerate(survivors)}
     trace.bad_after = tuple(tuple(position[k] for k in s) for s in current_bad())
     trace.w_after = len(trace.bad_after)
-
-    # guarantees are checked, not assumed
-    for i in range(2, e):
-        verdict = check_free(h1, FreenessConstraint(i, i * r - f[i]), budget=budget)
-        if not verdict.holds:
-            raise CertificationFailed(f"alteration left a level-{i} violator: {verdict.witness}")
-    for v_j, e_j in params.extra_targets:
-        verdict = check_free(h1, FreenessConstraint(e_j, v_j), budget=budget)
-        if not verdict.holds:
-            raise CertificationFailed(f"alteration left an extra-target violator: {verdict.witness}")
     return h1, trace
 
 
@@ -401,31 +379,19 @@ def build_aux(
     h1: Hypergraph,
     params: ConstructionParams,
     *,
-    budget: int = 10**6,
-    systems: tuple[tuple[int, ...], ...] | None = None,
+    systems: tuple[tuple[int, ...], ...],
 ) -> AuxGraph:
     """Auxiliary hypergraph on the surviving edges: one aux edge per bad
-    e-system.  `systems` passes in the bad e-systems of `h1` when they are
-    already known (`trace.bad_after` from `alter`); otherwise they are
-    enumerated.  The alteration guarantees linearity (no two aux edges
-    share two vertices); NotLinear means an internal failure."""
-    e, v = params.e, params.v
-    if h1.m < e:
-        return AuxGraph(h1.m, e, ())
-    if systems is None:
-        if v >= min(e * h1.r, _support(h1.masks)):
-            if comb(h1.m, e) > budget:
-                raise BudgetExceeded("degenerate parameters: all e-subsets are bad")
-            systems = list(itertools.combinations(range(h1.m), e))
-        else:
-            systems = span_bounded_systems(h1.edges, h1.masks, e, v, budget=budget, simple=True)
+    e-system of `h1`, as `alter` leaves them in `trace.bad_after`.  The
+    alteration guarantees linearity (no two aux edges share two vertices);
+    NotLinear means an internal failure."""
     seen_pairs: set[tuple[int, int]] = set()
     for s in systems:
         for pair in itertools.combinations(s, 2):
             if pair in seen_pairs:
                 raise NotLinear(f"aux edges share two vertices: pair {pair}")
             seen_pairs.add(pair)
-    return AuxGraph(h1.m, e, tuple(systems))
+    return AuxGraph(h1.m, params.e, tuple(systems))
 
 
 def independent_set(aux: AuxGraph, seed: int) -> tuple[int, ...]:
@@ -449,25 +415,19 @@ def independent_set(aux: AuxGraph, seed: int) -> tuple[int, ...]:
             member_of.setdefault(k, []).append(a)
     floor = math.ceil(nv / (1.0 + aux.average_degree))
 
-    def run(order: list[int]) -> set[int]:
-        kept: set[int] = set()
-        for k in order:
-            blocked = False
-            for a in member_of.get(k, ()):
-                others = [x for x in aux.edges[a] if x != k]
-                if all(x in kept for x in others):
-                    blocked = True
-                    break
-            if not blocked:
-                kept.add(k)
-        return kept
-
     def independent_with(kept: set[int], k: int) -> bool:
         for a in member_of.get(k, ()):
             others = [x for x in aux.edges[a] if x != k]
             if all(x in kept for x in others):
                 return False
         return True
+
+    def run(order: list[int]) -> set[int]:
+        kept: set[int] = set()
+        for k in order:
+            if independent_with(kept, k):
+                kept.add(k)
+        return kept
 
     def exchange(kept: set[int]) -> set[int]:
         for w in sorted(kept):
@@ -541,7 +501,7 @@ def construct(
             h1, trace = alter(h0, attempt_params, budget=budget)
         except Degenerate:
             continue
-        aux = build_aux(h1, attempt_params, budget=budget, systems=trace.bad_after)
+        aux = build_aux(h1, attempt_params, systems=trace.bad_after)
         keep = independent_set(aux, seed + attempt)
         out = h1.subhypergraph(keep)
         verdict = check_profile(out, profile, budget=budget)

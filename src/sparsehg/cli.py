@@ -177,11 +177,11 @@ def run_verify(args) -> int:
             [f"cycle of length {cycle.length}: vertices {cycle.vertices}, edges {cycle.edges}"],
         )
         return 4
+    if args.e is None or args.v is None:
+        raise SparseHgError("verify needs --berge T, or --e and --v")
     if args.ladder:
         profile = freeness.ladder_profile(h.r, args.e, args.v)
     else:
-        if args.e is None or args.v is None:
-            raise SparseHgError("verify needs --berge T, or --e and --v")
         profile = freeness.ConstraintProfile(
             (freeness.FreenessConstraint(args.e, args.v),), tag="custom"
         )

@@ -142,7 +142,6 @@ def _root_threshold(r: int, size: int, max_span: int) -> int:
 
 
 def span_bounded_systems(
-    edges,
     masks,
     size: int,
     max_span: int,
@@ -152,17 +151,18 @@ def span_bounded_systems(
 ) -> list[tuple[int, ...]]:
     """All `size`-subsets of edge indices whose union spans <= max_span vertices.
 
-    Returns index tuples in lexicographic order.  `budget` caps the number
-    of systems; exceeding it raises BudgetExceeded.  With `simple=True` the
-    edges are promised pairwise distinct, so a union of `size` of them spans
-    at least the smallest u with C(u, r) >= size; spans below that are pruned
-    without scanning, and a tight level (max_span == u) on few enough
-    vertices takes the vertex route.
+    The edges are given as vertex bitmasks of one size r (bit v-1 stands
+    for vertex v).  Returns index tuples in lexicographic order.  `budget`
+    caps the number of systems; exceeding it raises BudgetExceeded.  With
+    `simple=True` the edges are promised pairwise distinct, so a union of
+    `size` of them spans at least the smallest u with C(u, r) >= size;
+    spans below that are pruned without scanning, and a tight level
+    (max_span == u) on few enough vertices takes the vertex route.
     """
-    m = len(edges)
+    m = len(masks)
     if size < 1 or m < size:
         return []
-    r = len(edges[0])
+    r = masks[0].bit_count()
     if max_span < r:
         return []  # no edge fits
     if size == 1:
@@ -366,7 +366,7 @@ def check_free(
     if kind == "unsatisfiable":
         witness = tuple(range(e))
         return Verdict(False, constraint, witness, h.union_span(witness), flags)
-    systems = span_bounded_systems(h.edges, h.masks, e, v, budget=budget, simple=not h.multi)
+    systems = span_bounded_systems(h.masks, e, v, budget=budget, simple=not h.multi)
     if not systems:
         return Verdict(True, constraint, flags=flags)
     witness = systems[0]
@@ -543,9 +543,7 @@ def berge_girth(h: Hypergraph, t_max: int, *, budget: int | None = None) -> Berg
     if t_max < 2:
         raise BadRange(f"need t_max >= 2, got {t_max}")
     for i in range(2, t_max + 1):
-        systems = span_bounded_systems(
-            h.edges, h.masks, i, i * (h.r - 1), budget=budget, simple=not h.multi
-        )
+        systems = span_bounded_systems(h.masks, i, i * (h.r - 1), budget=budget, simple=not h.multi)
         if systems:
             cycle = extract_berge_cycle(h, systems[0])
             # scanning i upward means no shorter cycle exists anywhere

@@ -189,21 +189,52 @@ def test_alter_entangled_pair_removal():
 
 
 def test_alter_dense_level_guarantee_on_random_runs():
-    params0 = plan(3, 3, 6, 20)
-    for seed in range(100):
-        params = dataclasses.replace(params0, seed=seed)
-        h0 = sample(params)
-        if h0.m == 0:
-            continue
-        try:
-            h1, trace = alter(h0, params)
-        except Exception:
-            continue  # Degenerate: everything removed
-        # property: no i edges of the altered graph span <= i*r - f(i)
-        for i in (2,):
-            thr = i * 3 - params.f[i]
-            assert oracles.violations(h1.edges, i, thr) == []
-        assert h1.m + len(trace.removed_edges) == h0.m
+    # alteration alone leaves no violator at any level i = 2..e-1 and none
+    # of any extra target: alter does not re-check this, so the oracle does.
+    # The (7, 4) sweep of the (3, 3, 6) runs finds nothing left to remove;
+    # the (8, 5) sweep of the (3, 4, 7) runs does remove edges
+    cases = [
+        ((3, 3, 6, 20), None, (), range(100)),
+        ((3, 4, 7, 9), 20, (), range(20)),
+        ((3, 6, 5, 8), None, (), range(10)),
+        ((3, 3, 6, 12), 30, ((7, 4),), range(20)),
+        ((3, 4, 7, 9), 20, ((8, 5),), range(20)),
+    ]
+    removing = extra_removing = 0
+    for (r, e, v, n), floor, extra, seeds in cases:
+        params0 = plan(r, e, v, n, extra, min_expected_edges=floor)
+        levels = [(i, i * r - params0.f[i]) for i in range(2, e)]
+        levels += [(e_j, v_j) for v_j, e_j in extra]
+        for seed in seeds:
+            params = dataclasses.replace(params0, seed=seed)
+            h0 = sample(params)
+            try:
+                h1, trace = alter(h0, params)
+            except Degenerate:
+                continue
+            for size, max_span in levels:
+                assert oracles.violations(h1.edges, size, max_span) == [], (r, e, v, seed, size)
+            assert h1.m + len(trace.removed_edges) == h0.m
+            removing += len(trace.removed_edges) > 0
+            extra_removing += sum(trace.extra_removed.values()) > 0
+    assert removing >= 40 and extra_removing >= 2
+
+
+def test_alter_makes_no_check_free_call(monkeypatch):
+    # the level and extra-target guarantees are certified once, on the
+    # output of construct, not again inside alter
+    def refuse(*args, **kwargs):
+        raise AssertionError("alter called check_free")
+
+    monkeypatch.setattr(builder, "check_free", refuse)
+    for (r, e, v, n), floor, extra in [
+        ((3, 3, 6, 24), None, ()),
+        ((3, 4, 7, 9), 20, ()),
+        ((3, 3, 6, 12), 30, ((7, 4),)),
+    ]:
+        params = plan(r, e, v, n, extra, min_expected_edges=floor)
+        h1, trace = alter(sample(params), params)
+        assert trace.removed_edges and h1.m > 0
 
 
 def test_alter_counts_consistent(rng):
@@ -262,14 +293,14 @@ def test_alter_bad_systems_match_fresh_enumeration():
                 h1, trace = alter(h0, params)
             except Degenerate:
                 continue
-            assert trace.w_before == len(span_bounded_systems(h0.edges, h0.masks, e, v))
-            fresh = span_bounded_systems(h1.edges, h1.masks, e, v)
+            assert trace.w_before == len(span_bounded_systems(h0.masks, e, v))
+            fresh = span_bounded_systems(h1.masks, e, v)
             assert list(trace.bad_after) == fresh
             assert trace.w_after == len(fresh)
             if h0.m <= 30:
                 assert trace.w_before == len(oracles.violations(h0.edges, e, v))
                 assert fresh == oracles.violations(h1.edges, e, v)
-            assert build_aux(h1, params, systems=trace.bad_after) == build_aux(h1, params)
+            assert build_aux(h1, params, systems=trace.bad_after).edges == tuple(fresh)
             checked += 1
     assert checked >= 15
 
@@ -277,9 +308,9 @@ def test_alter_bad_systems_match_fresh_enumeration():
 def test_alter_and_build_aux_enumerate_bad_systems_once(monkeypatch):
     calls = []
 
-    def counting(edges, masks, size, max_span, **kwargs):
+    def counting(masks, size, max_span, **kwargs):
         calls.append((size, max_span))
-        return span_bounded_systems(edges, masks, size, max_span, **kwargs)
+        return span_bounded_systems(masks, size, max_span, **kwargs)
 
     monkeypatch.setattr(builder, "span_bounded_systems", counting)
     monkeypatch.setattr(freeness, "span_bounded_systems", counting)
@@ -301,7 +332,7 @@ def test_alter_and_build_aux_enumerate_bad_systems_once(monkeypatch):
 def test_aux_empty_when_no_bad_systems():
     params = plan(3, 3, 6, 9)
     h1 = canonicalize([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 9)
-    aux = build_aux(h1, params)
+    aux = build_aux(h1, params, systems=())
     assert aux.edges == ()
     assert independent_set(aux, seed=0) == tuple(range(3))
 
@@ -313,8 +344,8 @@ def test_aux_edges_revalidate_and_linear():
         h0 = sample(params)
         if h0.m == 0:
             continue
-        h1, _ = alter(h0, params)
-        aux = build_aux(h1, params)
+        h1, trace = alter(h0, params)
+        aux = build_aux(h1, params, systems=trace.bad_after)
         for sys in aux.edges:
             assert union_span(h1, list(sys)) <= 6
         for a in range(len(aux.edges)):
@@ -327,7 +358,7 @@ def test_aux_edges_revalidate_and_linear():
 def test_independent_set_single_edge():
     params = plan(3, 3, 6, 6)
     h1 = canonicalize([[1, 2, 3], [1, 4, 5], [2, 4, 6]], 6)
-    aux = build_aux(h1, params)
+    aux = build_aux(h1, params, systems=oracles.violations(h1.edges, 3, 6))
     assert aux.edges == ((0, 1, 2),)
     kept = independent_set(aux, seed=0)
     assert len(kept) == 2
@@ -338,8 +369,8 @@ def test_independent_set_meets_degree_floor_and_is_independent():
     for seed in range(10):
         params = dataclasses.replace(params0, seed=seed)
         h0 = sample(params)
-        h1, _ = alter(h0, params)
-        aux = build_aux(h1, params)
+        h1, trace = alter(h0, params)
+        aux = build_aux(h1, params, systems=trace.bad_after)
         kept = independent_set(aux, seed=seed)
         floor = math.ceil(aux.num_vertices / (1 + aux.average_degree))
         assert len(kept) >= floor

@@ -122,6 +122,10 @@ def test_verify_requires_a_mode(tmp_path, capsys):
     (tmp_path / "d.hg").write_text(DISJOINT_HG)
     assert main(["verify", "d.hg"]) == 1
     assert "--berge" in capsys.readouterr().err
+    # --ladder needs the (e, v) target too, and says so without a traceback
+    assert main(["verify", "d.hg", "--ladder"]) == 1
+    err = capsys.readouterr().err
+    assert "--berge" in err and "Traceback" not in err
 
 
 def test_verify_missing_file(capsys):

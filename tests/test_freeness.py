@@ -99,7 +99,7 @@ def test_span_bounded_systems_matches_unpruned(rng):
         h = random_hypergraph(rng, n_max=10, m_max=7)
         size = rng.randint(2, 4)
         max_span = rng.randint(3, 10)
-        got = span_bounded_systems(h.edges, h.masks, size, max_span, simple=True)
+        got = span_bounded_systems(h.masks, size, max_span, simple=True)
         assert got == oracles.violations(h.edges, size, max_span)
 
 
@@ -209,7 +209,7 @@ def test_span_bounded_system_routes_on_tight_levels(rng):
         want = oracles.violations(h.edges, size, u)
         assert _vertex_route(h.masks, size, u) == want
         assert _pair_route(h.masks, size, u) == want
-        assert span_bounded_systems(h.edges, h.masks, size, u, simple=True) == want
+        assert span_bounded_systems(h.masks, size, u, simple=True) == want
         if not want:
             continue
         assert _vertex_route(h.masks, size, u, budget=len(want)) == want
@@ -230,7 +230,7 @@ def test_span_bounded_systems_spans_below_r_are_empty():
             for size in range(1, 6):
                 for max_span in (0, 1, r - 1):
                     for flag in {False, not h.multi}:
-                        assert span_bounded_systems(h.edges, h.masks, size, max_span, simple=flag) == []
+                        assert span_bounded_systems(h.masks, size, max_span, simple=flag) == []
 
 
 def test_span_bounded_systems_budget_counts_each_system_once(rng):
@@ -244,10 +244,10 @@ def test_span_bounded_systems_budget_counts_each_system_once(rng):
         total = len(oracles.violations(h.edges, size, max_span))
         if total == 0:
             continue
-        got = span_bounded_systems(h.edges, h.masks, size, max_span, budget=total)
+        got = span_bounded_systems(h.masks, size, max_span, budget=total)
         assert len(got) == total
         with pytest.raises(BudgetExceeded):
-            span_bounded_systems(h.edges, h.masks, size, max_span, budget=total - 1)
+            span_bounded_systems(h.masks, size, max_span, budget=total - 1)
         checked += 1
     assert checked >= 10
 
@@ -257,16 +257,16 @@ def test_span_bounded_systems_budget():
         [list(e) for e in itertools.combinations(range(1, 6), 3)], 5
     )
     with pytest.raises(BudgetExceeded):
-        span_bounded_systems(h.edges, h.masks, 2, 6, budget=2)
+        span_bounded_systems(h.masks, 2, 6, budget=2)
 
 
 def test_simple_flag_prunes_impossible_spans():
     # 5 distinct triples always span at least 5 vertices
     h = canonicalize([list(e) for e in itertools.combinations(range(1, 6), 3)], 5)
-    assert span_bounded_systems(h.edges, h.masks, 5, 4, simple=True) == []
+    assert span_bounded_systems(h.masks, 5, 4, simple=True) == []
     # but 5 repeated edges of a multigraph can sit inside 3
     dup = canonicalize([[1, 2, 3]] * 5, 3, multi=True)
-    assert span_bounded_systems(dup.edges, dup.masks, 5, 4) == [(0, 1, 2, 3, 4)]
+    assert span_bounded_systems(dup.masks, 5, 4) == [(0, 1, 2, 3, 4)]
 
 
 # --- profile formulas ----------------------------------------------------
