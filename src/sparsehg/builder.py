@@ -6,6 +6,13 @@ and entangled pairs of bad e-systems), then take an independent set in the
 auxiliary hypergraph whose vertices are the surviving edges and whose aux
 edges are the surviving bad e-systems.  The result provably satisfies the
 graded profile, and the final check is run, not assumed.
+
+Every stage but the span enumerations is near-linear in its input: the
+sample is unranked in one incremental pass over its sorted ranks; level 2
+of the alteration is a greedy over per-vertex edge bitsets, with no list of
+pairs; each entangled-pair sweep counts shared edges through an
+edge-to-system index; and the exchange pass of the independent set scans
+only the vertices a swap can gain, not every vertex.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
@@ -33,6 +41,9 @@ from .errors import (
 from .freeness import (
     FreenessConstraint,
     Verdict,
+    _add_vertices,
+    _bit_indices,
+    _incidence,
     check_free,
     check_profile,
     ladder_profile,
@@ -213,17 +224,38 @@ def plan(
     )
 
 
-def unrank_combination(idx: int, n: int, r: int) -> tuple[int, ...]:
-    """The idx-th r-subset of 1..n in lexicographic order (0-based rank)."""
-    edge = []
-    x = 1
-    for k in range(r, 0, -1):
-        while comb(n - x, k - 1) <= idx:
-            idx -= comb(n - x, k - 1)
-            x += 1
-        edge.append(x)
-        x += 1
-    return tuple(edge)
+def unrank_ascending(ranks, n: int, r: int) -> list[tuple[int, ...]]:
+    """The r-subsets of 1..n with the given ascending lexicographic ranks
+    (0-based), in one pass.
+
+    Consecutive subsets share a prefix, so each walk resumes where the
+    last one stopped: `first[j]` and `end[j]` bound the ranks of the
+    subsets that start with the current `edge[:j]`, and only the positions
+    past the longest prefix still holding the next rank are recomputed.
+    """
+    edge = list(range(1, r + 1))  # the subset of rank 0
+    first = [0] * (r + 1)
+    end = [comb(n, r)] + [comb(n - edge[j], r - j - 1) for j in range(r)]
+    out = []
+    for idx in ranks:
+        j = r
+        while idx >= end[j]:
+            j -= 1
+        for k in range(j, r):
+            if k == j:
+                x, acc = edge[k], first[k + 1]  # resume the walk
+            else:
+                x, acc = edge[k - 1] + 1, first[k]
+            if k == r - 1:
+                x, acc = x + idx - acc, idx  # each last vertex is one rank
+            else:
+                while acc + comb(n - x, r - k - 1) <= idx:
+                    acc += comb(n - x, r - k - 1)
+                    x += 1
+            edge[k], first[k + 1] = x, acc
+            end[k + 1] = acc + comb(n - x, r - k - 1)
+        out.append(tuple(edge))
+    return out
 
 
 def sample(params: ConstructionParams) -> Hypergraph:
@@ -231,7 +263,8 @@ def sample(params: ConstructionParams) -> Hypergraph:
 
     The number of edges is Binomial(C(n, r), p); that many distinct edges
     are then chosen uniformly via rank sampling, so any two runs with the
-    same seed produce identical hypergraphs.
+    same seed produce identical hypergraphs.  The sorted ranks are unranked
+    in one incremental pass.
     """
     n, r, p = params.n, params.r, params.p
     population = comb(n, r)
@@ -245,7 +278,7 @@ def sample(params: ConstructionParams) -> Hypergraph:
         count = int(np.random.default_rng(params.seed).binomial(population, p))
     rng = random.Random(params.seed)
     ranks = sorted(rng.sample(range(population), count))
-    edges = tuple(unrank_combination(i, n, r) for i in ranks)
+    edges = tuple(unrank_ascending(ranks, n, r))
     return Hypergraph(n, r, edges, False)
 
 
@@ -272,10 +305,18 @@ def alter(
     free, so the level guarantees are certified once, on the final output,
     by `construct`.
 
+    Level 2 needs no enumeration: two edges span at most 2r - f(2) iff
+    they share at least f(2) vertices, so in lexicographic pair order each
+    edge still alive removes its alive later partners, ascending, read
+    from per-vertex edge bitsets.
+
     The bad e-systems are enumerated once, on the sample: alteration only
     deletes edges, so those of any later hypergraph are the sample's bad
-    e-systems whose edges all survive.  The survivors' systems, re-indexed
-    to the output, are left in `trace.bad_after` for `build_aux`.
+    e-systems whose edges all survive.  Each level indexes the intact ones
+    by edge, which gives every system's partners by counting shared edges,
+    and each removal marks the systems holding its edge broken.  The
+    survivors' systems, re-indexed to the output, are left in
+    `trace.bad_after` for `build_aux`.
     """
     r, e, v, f = params.r, params.e, params.v, params.f
     edges = list(h0.edges)
@@ -283,9 +324,29 @@ def alter(
     m = len(edges)
     alive = [True] * m
     trace = AlterationTrace(x_sampled=m)
+    # bad e-systems as original-index tuples in lexicographic order; once a
+    # level has indexed them, intact[a] says whether bad[a] is intact and
+    # holding[k] lists the positions of the systems holding edge k
+    bad: list[tuple[int, ...]] = []
+    intact: bytearray | None = None
+    holding: defaultdict[int, list[int]] = defaultdict(list)
 
     def alive_indices() -> list[int]:
         return [k for k in range(m) if alive[k]]
+
+    def index(systems: list[tuple[int, ...]]):
+        nonlocal bad, intact, holding
+        bad, intact = systems, bytearray([1]) * len(systems)
+        holding = defaultdict(list)
+        for a, s in enumerate(systems):
+            for k in s:
+                holding[k].append(a)
+
+    def remove(k: int):
+        alive[k] = False
+        for a in holding.get(k, ()):
+            intact[a] = 0
+        trace.removed_edges.append(edges[k])
 
     def sub_systems(size: int, max_span: int) -> list[tuple[int, ...]]:
         """Systems of the current hypergraph, as original-index tuples."""
@@ -299,10 +360,32 @@ def alter(
         removed = 0
         for s in systems:
             if all(alive[k] for k in s):
-                top = max(s)
-                alive[top] = False
-                trace.removed_edges.append(edges[top])
+                remove(max(s))
                 removed += 1
+        return removed
+
+    def break_pairs(shared: int) -> int:
+        """Level 2, which runs first, on the whole sample: in order, each
+        alive edge removes its alive later partners sharing at least
+        `shared` vertices with it, ascending.  `level[t]` holds the later
+        edges meeting at least t of its vertices.  The pairs are counted
+        against the budget as if listed."""
+        if m < 2 or shared >= r:
+            return 0  # no two distinct edges share r vertices
+        inc = _incidence(masks)
+        everything = (1 << m) - 1
+        pairs = removed = 0
+        for k in range(m):
+            level = [everything >> (k + 1) << (k + 1)] + [0] * shared
+            _add_vertices(inc, level, masks[k])
+            pairs += level[shared].bit_count()
+            if alive[k]:
+                for j in _bit_indices(level[shared]):
+                    if alive[j]:
+                        remove(j)
+                        removed += 1
+        if pairs > budget:
+            raise BudgetExceeded(f"{pairs} span-bounded pairs exceed budget {budget}")
         return removed
 
     # with v at least the sample's support, every e-subset is bad and stays
@@ -310,7 +393,6 @@ def alter(
     # itself, so none are stored
     all_bad = v >= _support(masks)
     if all_bad:
-        bad = []
         trace.w_before = comb(m, e)
     else:
         bad = span_bounded_systems(masks, e, v, budget=budget, simple=True)
@@ -319,16 +401,17 @@ def alter(
     def current_bad() -> list[tuple[int, ...]]:
         """Bad e-systems of the current hypergraph, as original-index
         tuples in lexicographic order."""
-        nonlocal bad
-        cur = alive_indices()
         if all_bad:
+            cur = alive_indices()
             if comb(len(cur), e) > budget:
                 raise BudgetExceeded(
                     f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad"
                 )
             return list(itertools.combinations(cur, e))
-        bad = [s for s in bad if all(alive[k] for k in s)]
-        return bad
+        if intact is None:  # the sample's systems, before any index
+            gone = {k for k in range(m) if not alive[k]}
+            return [s for s in bad if gone.isdisjoint(s)]
+        return list(itertools.compress(bad, intact))
 
     for i in range(2, e):
         thr = i * r - f[i]
@@ -337,29 +420,26 @@ def alter(
             # every i-subset violates: keeping the first i-1 edges and
             # removing the rest matches lexicographic processing exactly
             trace.y_removed[i] = break_each((k,) for k in cur[i - 1 :])
+        elif i == 2:
+            trace.y_removed[i] = break_pairs(2 * r - thr)
         else:
             trace.y_removed[i] = break_each(sub_systems(i, thr))
 
-        # entangled pairs of current bad e-systems sharing precisely i edges,
-        # visited in lexicographic order of (s1, s2): one s1 at a time, so
-        # only the partners of one system are held at once
-        current = current_bad()
-        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for s in current:
-            for t in itertools.combinations(s, i):
-                buckets.setdefault(t, []).append(s)
-        shared = {t: members for t, members in buckets.items() if len(members) >= 2}
+        # entangled pairs of current bad e-systems sharing precisely i
+        # edges, visited in lexicographic order of (s1, s2): the partners of
+        # s1 are the later positions counted i times over its edges
+        index(current_bad())
         removed_here = 0
-        for s1 in current:
-            if not all(alive[k] for k in s1):
+        for a, s1 in enumerate(bad):
+            if not intact[a]:
                 continue  # every pair holding s1 is already broken
-            partners = sorted(
-                s2
-                for t in itertools.combinations(s1, i)
-                for s2 in shared.get(t, ())
-                if s2 > s1 and len(set(s1).intersection(s2)) == i
-            )
-            removed_here += break_each(set(s1).union(s2) for s2 in partners)
+            shared = Counter(itertools.chain.from_iterable(holding[k] for k in s1))
+            for b in sorted(b for b, c in shared.items() if c == i and b > a):
+                if not intact[a]:
+                    break
+                if intact[b]:
+                    remove(max(s1[-1], bad[b][-1]))
+                    removed_here += 1
         trace.z_removed[i] = removed_here
 
     for j, (v_j, e_j) in enumerate(params.extra_targets):
@@ -399,10 +479,15 @@ def independent_set(aux: AuxGraph, seed: int) -> tuple[int, ...]:
 
     A vertex is kept unless it would complete an aux edge among kept
     vertices, so each aux edge blocks at most one vertex.  The exchange
-    pass tries to swap one member for two non-members.  Result size is
-    required to reach ceil(nv / (1 + average degree)); seeds derived from
-    `seed` are retried if a permutation falls short (not observed in
-    practice on linear aux graphs).
+    pass visits the members w in ascending order and swaps w for the first
+    two non-members (among the first 256 that fit without w) that fit
+    together.  Only a free vertex (one that fits next to every member) or
+    an aux neighbour of w can fit without w, so the pass scans those: none
+    are free after the greedy, and a swap changes freeness only at w and
+    around w and the two newcomers.  Result size is required to reach
+    ceil(nv / (1 + average degree)); seeds derived from `seed` are retried
+    if a permutation falls short (not observed in practice on linear aux
+    graphs).
     """
     nv = aux.num_vertices
     if nv == 0:
@@ -415,12 +500,17 @@ def independent_set(aux: AuxGraph, seed: int) -> tuple[int, ...]:
             member_of.setdefault(k, []).append(a)
     floor = math.ceil(nv / (1.0 + aux.average_degree))
 
-    def independent_with(kept: set[int], k: int) -> bool:
+    def independent_with(kept: set[int], k: int, also: int | None = None) -> bool:
+        """Whether k completes no aux edge among `kept` (and `also`)."""
         for a in member_of.get(k, ()):
-            others = [x for x in aux.edges[a] if x != k]
-            if all(x in kept for x in others):
+            if all(x in kept or x == also for x in aux.edges[a] if x != k):
                 return False
         return True
+
+    def neighbours(k: int) -> set[int]:
+        out = {x for a in member_of.get(k, ()) for x in aux.edges[a]}
+        out.discard(k)
+        return out
 
     def run(order: list[int]) -> set[int]:
         kept: set[int] = set()
@@ -430,21 +520,28 @@ def independent_set(aux: AuxGraph, seed: int) -> tuple[int, ...]:
         return kept
 
     def exchange(kept: set[int]) -> set[int]:
+        free: set[int] = set()  # the greedy result is maximal
         for w in sorted(kept):
-            base = kept - {w}
-            gains = [u for u in range(nv) if u not in kept and independent_with(base, u)]
+            kept.remove(w)
+            gains = [
+                u for u in sorted(free | neighbours(w))
+                if u not in kept and independent_with(kept, u)
+            ]
             del gains[256:]  # bounded scan keeps the pass near-linear
-            done = False
-            for ui in range(len(gains)):
-                u = gains[ui]
-                with_u = base | {u}
-                for x in gains[ui + 1 :]:
-                    if independent_with(with_u, x):
-                        kept = with_u | {x}
-                        done = True
-                        break
-                if done:
-                    break
+            swap = next(
+                ((u, x) for u, x in itertools.combinations(gains, 2) if independent_with(kept, x, u)),
+                None,
+            )
+            if swap is None:
+                kept.add(w)
+                continue
+            u, x = swap
+            kept.update(swap)
+            for y in {w, u, x} | neighbours(w) | neighbours(u) | neighbours(x):
+                if y not in kept and independent_with(kept, y):
+                    free.add(y)
+                else:
+                    free.discard(y)
         return kept
 
     best: set[int] = set()

@@ -247,29 +247,31 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
     return results
 
 
+def _add_vertices(inc: list[int], level: list[int], vertices: int):
+    """Add the vertices of a bitmask to `level`, a list of bitsets over
+    edge indices: level[t] holds the edges of level[0] holding at least t
+    of the vertices added so far.  One vertex costs len(level) operations."""
+    for b in _bit_indices(vertices):
+        ib = inc[b]
+        for t in range(len(level) - 1, 0, -1):
+            level[t] |= level[t - 1] & ib
+
+
 def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """The systems of any level with 2 <= size and r <= max_span < size*r,
     rooted at their lexicographically first pair sharing at least s*
     vertices (the convexity bound of the module docstring)."""
     m = len(masks)
     r = masks[0].bit_count()
-    # Sets of edges are bitsets over edge indices.  A list `level` of
-    # bitsets, level[0] = every edge, has in level[t] the edges holding at
-    # least t of the vertices added to it so far, and adding one vertex
-    # costs len(level) operations.
+    # Sets of edges are bitsets over edge indices; a `level` list starts
+    # from every edge (see _add_vertices).
     everything = (1 << m) - 1
     inc = _incidence(masks)
-
-    def add_vertices(level: list[int], vertices: int):
-        for b in _bit_indices(vertices):
-            ib = inc[b]
-            for t in range(len(level) - 1, 0, -1):
-                level[t] |= level[t - 1] & ib
 
     def sharing(k: int, s: int) -> int:
         """The edges sharing at least s vertices with edge k (k included)."""
         level = [everything] + [0] * s
-        add_vertices(level, masks[k])
+        _add_vertices(inc, level, masks[k])
         return level[s]
 
     if size == 2:
@@ -325,7 +327,7 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
                 continue
             new = masks[k] & ~u
             child = level[:]
-            add_vertices(child, new)
+            _add_vertices(inc, child, new)
             cut = shares[k] if k < i else shares[k] & below_i
             rec(chosen + (k,), u | new, span + new.bit_count(), k + 1, child, forbid | cut)
 
@@ -337,7 +339,7 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
             if span0 > max_span:
                 continue
             level = [everything] + [0] * r
-            add_vertices(level, u0)
+            _add_vertices(inc, level, u0)
             # the pairs (k, i) and (k, j) sorting before (i, j)
             forbid = (shares[i] & ((1 << j) - 1)) | (shares[j] & below_i) | (1 << i) | (1 << j)
             rec((), u0, span0, 0, level, forbid)

@@ -115,7 +115,7 @@ def construct_ipps(
     floor(t^2/4) + t, so the ladder needs gcd(floor(t^2/4) + t, r) = 1.
     The freeness target is the top rung of the ladder certificate that
     `construct` checks on its output; the exhaustive identifying check
-    additionally runs at guard scale.
+    additionally runs on outputs within `check_ipps`'s default guard.
 
     The covering argument transfers freeness to the identifying property
     only for families of at least e edges (a family of 3..e-1 edges can be
@@ -142,10 +142,12 @@ def construct_ipps(
         budget=budget,
     )
     h = result.hypergraph
-    if h.n <= 20 and h.m <= 12 and t <= 3:
-        ipps_verdict = check_ipps(h, t, force=True)
-        if not ipps_verdict.holds:
-            raise CertificationFailed(
-                f"identifying-parents certification failed: {ipps_verdict.witness}"
-            )
+    try:
+        ipps_verdict = check_ipps(h, t)
+    except TooLarge:
+        return h  # beyond the exhaustive check's guard
+    if not ipps_verdict.holds:
+        raise CertificationFailed(
+            f"identifying-parents certification failed: {ipps_verdict.witness}"
+        )
     return h

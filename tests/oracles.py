@@ -6,6 +6,8 @@ agree with these on small instances.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 
@@ -287,3 +289,62 @@ def alteration_removals(edges, e, v, level_spans, extra_targets=()):
     for v_j, e_j in extra_targets:
         sweep(e_j, v_j)
     return removed
+
+
+def greedy_exchange(num_vertices, aux_edges, seed):
+    """The independent-set stage written out plainly, scanning every vertex
+    in the exchange pass.  For each seeded shuffle: keep each vertex in
+    order unless it completes an aux edge among the kept ones; then for
+    each member w, ascending, list the first 256 non-members that fit
+    without w and swap w for the first two of them (in lexicographic pair
+    order) that fit together.  Returns the first result reaching the greedy
+    floor ceil(nv / (1 + average degree)), or None, and the number of swaps
+    after which some non-member fits next to every member."""
+    containing = {u: [] for u in range(num_vertices)}
+    for s in aux_edges:
+        for u in s:
+            containing[u].append(set(s) - {u})
+
+    def fits(kept, u):
+        return all(not others <= kept for others in containing[u])
+
+    degree = len(aux_edges[0]) * len(aux_edges) / num_vertices if aux_edges else 0.0
+    floor = math.ceil(num_vertices / (1.0 + degree))
+    best = set()
+    swaps_leaving_free = 0
+    for attempt in range(8):
+        order = list(range(num_vertices))
+        random.Random(seed + (attempt << 32)).shuffle(order)
+        kept = set()
+        for u in order:
+            if fits(kept, u):
+                kept.add(u)
+        for w in sorted(kept):
+            base = kept - {w}
+            gains = [u for u in range(num_vertices) if u not in kept and fits(base, u)][:256]
+            for u, x in itertools.combinations(gains, 2):
+                if fits(base | {u}, x):
+                    kept = base | {u, x}
+                    swaps_leaving_free += any(
+                        fits(kept, y) for y in range(num_vertices) if y not in kept
+                    )
+                    break
+        if len(kept) > len(best):
+            best = kept
+        if len(best) >= floor:
+            return tuple(sorted(best)), swaps_leaving_free
+    return None, swaps_leaving_free
+
+
+def unrank_combination(idx, n, r):
+    """The idx-th r-subset of 1..n in lexicographic order (0-based rank),
+    by skipping whole blocks of subsets with a common first vertex."""
+    edge = []
+    x = 1
+    for k in range(r, 0, -1):
+        while math.comb(n - x, k - 1) <= idx:
+            idx -= math.comb(n - x, k - 1)
+            x += 1
+        edge.append(x)
+        x += 1
+    return tuple(edge)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import statistics
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from sparsehg import (
     BadRange,
+    BudgetExceeded,
     ConstructionParams,
     Degenerate,
     DegenerateP,
@@ -141,6 +143,18 @@ def test_sample_edges_canonical():
     assert all(list(e) == sorted(e) and len(set(e)) == 3 for e in h.edges)
 
 
+def test_unrank_ascending_matches_unrank_combination():
+    rng = random.Random(11)
+    for n, r in [(3, 3), (9, 3), (12, 5), (40, 3), (23, 11), (1024, 3)]:
+        population = math.comb(n, r)
+        for count in (0, 1, min(population, 400)):
+            ranks = sorted(rng.sample(range(population), count))
+            expected = [oracles.unrank_combination(i, n, r) for i in ranks]
+            assert builder.unrank_ascending(ranks, n, r) == expected, (n, r, count)
+    every = range(math.comb(10, 4))
+    assert builder.unrank_ascending(every, 10, 4) == [oracles.unrank_combination(i, 10, 4) for i in every]
+
+
 def test_sample_mean_tracks_expectation():
     params = plan(3, 3, 6, 24)
     mean_target = params.expected_edges
@@ -235,6 +249,56 @@ def test_alter_makes_no_check_free_call(monkeypatch):
         params = plan(r, e, v, n, extra, min_expected_edges=floor)
         h1, trace = alter(sample(params), params)
         assert trace.removed_edges and h1.m > 0
+
+
+def test_alter_makes_no_pair_kernel_call(monkeypatch):
+    # level 2 is a greedy over the edges' shared vertices, never a listing
+    # of the span-bounded pairs; the other levels and targets still are
+    sizes = []
+
+    def recording(masks, size, max_span, **kwargs):
+        sizes.append(size)
+        return span_bounded_systems(masks, size, max_span, **kwargs)
+
+    monkeypatch.setattr(builder, "span_bounded_systems", recording)
+    level_two = 0
+    for (r, e, v, n), floor, extra in [
+        ((3, 3, 6, 64), None, ()),
+        ((3, 6, 5, 16), None, ()),
+        ((3, 4, 7, 9), 20, ((8, 5),)),
+        ((11, 5, 50, 23), 1000, ()),
+    ]:
+        params = plan(r, e, v, n, extra, min_expected_edges=floor)
+        h1, trace = alter(sample(params), params)
+        level_two += trace.y_removed[2] > 0
+    assert 2 not in sizes and {3, 4, 5} <= set(sizes)
+    # at (3, 6, 5) f(2) = 3 = r, so no two distinct edges conflict at level 2
+    assert level_two == 3
+
+
+def test_alter_level_two_budget_counts_every_pair():
+    # level 2 lists no pairs, yet the budget still counts every pair of
+    # sampled edges spanning at most 2r - f(2): count passes, count - 1
+    # raises.  With n <= v nothing is enumerated before level 2
+    checked = 0
+    for (r, e, v, n), floor in [((3, 3, 6, 6), 9), ((3, 3, 6, 6), 14), ((11, 5, 50, 23), 300)]:
+        params0 = plan(r, e, v, n, min_expected_edges=floor)
+        for seed in range(4):
+            params = dataclasses.replace(params0, seed=seed)
+            h0 = sample(params)
+            pairs = len(oracles.violations(h0.edges, 2, 2 * r - params.f[2]))
+            alter(h0, params, budget=pairs)
+            message = f"^{pairs} span-bounded pairs exceed budget {pairs - 1}$"
+            with pytest.raises(BudgetExceeded, match=message):
+                alter(h0, params, budget=pairs - 1)
+            checked += pairs > 0
+    assert checked == 12
+    # at (3, 6, 5) f(2) = r: no two distinct edges conflict, nothing is
+    # counted, and a budget below zero first trips the degenerate check
+    params = plan(3, 6, 5, 16)
+    two = sample(params).subhypergraph([0, 1])
+    with pytest.raises(BudgetExceeded, match="all 0 e-subsets are bad"):
+        alter(two, params, budget=-1)
 
 
 def test_alter_counts_consistent(rng):
@@ -376,6 +440,34 @@ def test_independent_set_meets_degree_floor_and_is_independent():
         assert len(kept) >= floor
         chosen = set(kept)
         assert all(not set(sys) <= chosen for sys in aux.edges)
+
+
+def test_independent_set_matches_full_scan_exchange():
+    # the exchange pass scans only free vertices and aux neighbours of the
+    # member it tries to swap out; the oracle scans every vertex.  Some
+    # swap must leave a vertex free, so that a stale free set shows
+    cases = [
+        ((3, 3, 6, 64), None),
+        ((3, 3, 6, 128), None),
+        ((3, 3, 6, 200), None),
+        ((3, 4, 7, 40), None),
+        ((3, 6, 5, 16), None),
+    ]
+    runs = swaps_leaving_free = 0
+    for (r, e, v, n), floor in cases:
+        params0 = plan(r, e, v, n, min_expected_edges=floor)
+        for seed in range(12):
+            params = dataclasses.replace(params0, seed=seed)
+            try:
+                h1, trace = alter(sample(params), params)
+            except Degenerate:
+                continue
+            aux = build_aux(h1, params, systems=trace.bad_after)
+            expected, left_free = oracles.greedy_exchange(aux.num_vertices, aux.edges, seed)
+            assert independent_set(aux, seed) == expected, (r, e, v, n, seed)
+            runs += 1
+            swaps_leaving_free += left_free
+    assert runs >= 50 and swaps_leaving_free >= 1
 
 
 # --- construct ---------------------------------------------------------------

@@ -279,6 +279,21 @@ def test_cbc_construct_e6_bytes_pinned(tmp_path):
         assert digest == expected, seed
 
 
+def test_construct_n384_bytes_pinned(tmp_path):
+    # a production-size construct: .hg and trace bytes recorded before the
+    # level-2 sweep, the entangled-pair sweep and the exchange pass were
+    # rewritten, so a faster stage must not change what the builder keeps
+    rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "384",
+               "--seed", "2", "--out", "g.hg"])
+    assert rc == 0
+    pinned = {
+        "g.hg": "714108cc2249dc7364fcd576615d789e8ae6fe67b1fdd4147076e787a1998012",
+        "g.trace.json": "344217208fd54f8141996e8b96a18a20aa5da6c2d05682b288bd270b2559db80",
+    }
+    for name, expected in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
+
+
 def test_vertex_route_takes_only_tight_levels(monkeypatch):
     # cbc-e6's (6, 5) and (4, 4) levels are tight; the (3, 3, 6) ladder and
     # construct_lrc's kernel calls (all at size 2) never reach the route

@@ -6,10 +6,12 @@ import pytest
 import oracles
 from sparsehg import (
     BadRange,
+    CertificationFailed,
     FreenessConstraint,
     GcdCondition,
     RetriesExhausted,
     TooLarge,
+    Verdict,
     canonicalize,
     check_free,
     check_ipps,
@@ -17,6 +19,7 @@ from sparsehg import (
     link_e,
     minimal_covers,
 )
+from sparsehg import ipps
 from sparsehg.hypergraph import edge_mask
 
 
@@ -182,6 +185,23 @@ def test_construct_33_certified():
     h = construct_ipps(3, 3, 500, seed=4)
     assert h.m >= 6
     assert check_free(h, FreenessConstraint(6, 15)).holds
+
+
+def test_construct_ipps_defers_to_the_check_guard(monkeypatch):
+    # construct_ipps keeps no copy of check_ipps's guard: it calls the check
+    # with its defaults and treats TooLarge as out of scope
+    calls = []
+
+    def recording(h, t, **kwargs):
+        calls.append(kwargs)
+        return check_ipps(h, t, **kwargs)
+
+    monkeypatch.setattr(ipps, "check_ipps", recording)
+    h = construct_ipps(3, 3, 500, seed=4)  # n = 500 is past the guard
+    assert calls == [{}] and h.m >= 6
+    monkeypatch.setattr(ipps, "check_ipps", lambda h, t: Verdict(holds=False, witness="planted"))
+    with pytest.raises(CertificationFailed, match="planted"):
+        construct_ipps(3, 3, 500, seed=4)
 
 
 def test_construct_34_parameters_valid():
