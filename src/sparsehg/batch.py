@@ -15,10 +15,13 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from .builder import construct
+from .builder import DEFAULT_BUDGET, construct
 from .errors import BadRange, CertificationFailed, GcdCondition, SparseHgError, TooLarge
 from .freeness import Verdict, check_profile, deficit_profile
 from .hypergraph import Hypergraph
+
+# the most edges check_sdr_all enumerates subsets of without force=True
+MAX_EDGES = 20
 
 
 def find_sdr(sets: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -46,9 +49,7 @@ def find_sdr(sets: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     return tuple(chosen[i] for i in range(len(sets)))
 
 
-def check_sdr_all(
-    h: Hypergraph, e: int, *, max_edges: int = 20, force: bool = False
-) -> Verdict:
+def check_sdr_all(h: Hypergraph, e: int, *, force: bool = False) -> Verdict:
     """Does every subset of at most e edges admit distinct representatives?
 
     Subsets are scanned by increasing size, so the first failing subset is
@@ -57,9 +58,9 @@ def check_sdr_all(
     """
     if e < 1:
         raise BadRange(f"need e >= 1, got {e}")
-    if h.m > max_edges and not force:
+    if h.m > MAX_EDGES and not force:
         raise TooLarge(
-            f"{h.m} edges exceeds the subset-enumeration guard ({max_edges}); "
+            f"{h.m} edges exceeds the subset-enumeration guard ({MAX_EDGES}); "
             "pass force=True to override"
         )
     e = min(e, h.m)
@@ -104,10 +105,8 @@ def construct_cbc(
     n: int,
     seed: int = 0,
     *,
-    max_retries: int = 16,
-    min_yield: int | None = None,
     min_expected_edges: float | None = None,
-    budget: int = 10**6,
+    budget: int = DEFAULT_BUDGET,
 ) -> Hypergraph:
     """Build a layout serving any e requests: the constructed hypergraph is
     certified free of i edges covering fewer than i vertices for all i <= e.
@@ -129,8 +128,6 @@ def construct_cbc(
         e - 1,
         n,
         seed=seed,
-        max_retries=max_retries,
-        min_yield=min_yield,
         min_expected_edges=min_expected_edges,
         budget=budget,
     )

@@ -41,9 +41,8 @@ from .errors import (
 from .freeness import (
     FreenessConstraint,
     Verdict,
-    _add_vertices,
     _bit_indices,
-    _incidence,
+    _later_partners,
     check_free,
     check_profile,
     ladder_profile,
@@ -51,6 +50,9 @@ from .freeness import (
     span_deficits,
 )
 from .hypergraph import Hypergraph
+
+# default cap on the systems (or pairs) one kernel search may produce
+DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,7 @@ def _support(masks) -> int:
 
 
 def alter(
-    h0: Hypergraph, params: ConstructionParams, *, budget: int = 10**6
+    h0: Hypergraph, params: ConstructionParams, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[Hypergraph, AlterationTrace]:
     """Remove one edge per dense violator, per entangled bad-system pair,
     and per extra-target violator, in deterministic lexicographic order.
@@ -351,7 +353,7 @@ def alter(
     def sub_systems(size: int, max_span: int) -> list[tuple[int, ...]]:
         """Systems of the current hypergraph, as original-index tuples."""
         sub = alive_indices()
-        found = span_bounded_systems([masks[k] for k in sub], size, max_span, budget=budget, simple=True)
+        found = span_bounded_systems([masks[k] for k in sub], size, max_span, budget=budget)
         return [tuple(sub[a] for a in s) for s in found]
 
     def break_each(systems) -> int:
@@ -367,20 +369,15 @@ def alter(
     def break_pairs(shared: int) -> int:
         """Level 2, which runs first, on the whole sample: in order, each
         alive edge removes its alive later partners sharing at least
-        `shared` vertices with it, ascending.  `level[t]` holds the later
-        edges meeting at least t of its vertices.  The pairs are counted
+        `shared` vertices with it, ascending.  The pairs are counted
         against the budget as if listed."""
         if m < 2 or shared >= r:
             return 0  # no two distinct edges share r vertices
-        inc = _incidence(masks)
-        everything = (1 << m) - 1
         pairs = removed = 0
-        for k in range(m):
-            level = [everything >> (k + 1) << (k + 1)] + [0] * shared
-            _add_vertices(inc, level, masks[k])
-            pairs += level[shared].bit_count()
+        for k, later in enumerate(_later_partners(masks, shared)):
+            pairs += later.bit_count()
             if alive[k]:
-                for j in _bit_indices(level[shared]):
+                for j in _bit_indices(later):
                     if alive[j]:
                         remove(j)
                         removed += 1
@@ -395,7 +392,7 @@ def alter(
     if all_bad:
         trace.w_before = comb(m, e)
     else:
-        bad = span_bounded_systems(masks, e, v, budget=budget, simple=True)
+        bad = span_bounded_systems(masks, e, v, budget=budget)
         trace.w_before = len(bad)
 
     def current_bad() -> list[tuple[int, ...]]:
@@ -573,7 +570,7 @@ def construct(
     max_retries: int = 16,
     min_yield: int | None = None,
     min_expected_edges: float | None = None,
-    budget: int = 10**6,
+    budget: int = DEFAULT_BUDGET,
 ) -> ConstructionResult:
     """Full pipeline with retry: sample, alter, take an independent set,
     and certify the graded profile plus every extra target on the output.
@@ -589,7 +586,14 @@ def construct(
         min_yield=min_yield,
         min_expected_edges=min_expected_edges,
     )
-    profile = ladder_profile(r, e, v)
+    return _run_attempts(params, budget)
+
+
+def _run_attempts(params: ConstructionParams, budget: int) -> ConstructionResult:
+    """The retry loop of `construct` on planned parameters, from seed
+    params.seed up."""
+    profile = ladder_profile(params.r, params.e, params.v)
+    seed = params.seed
     best_yield = 0
     for attempt in range(params.max_retries):
         attempt_params = replace(params, seed=seed + attempt)

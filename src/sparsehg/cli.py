@@ -54,7 +54,7 @@ def _env_flag(name: str) -> bool:
     return raw.lower() in ("1", "true", "yes", "on")
 
 
-def _budget(args, fallback: int = 10**6) -> int:
+def _budget(args, fallback: int = builder.DEFAULT_BUDGET) -> int:
     return args.budget if args.budget is not None else fallback
 
 
@@ -338,7 +338,10 @@ def run_ipps_construct(args) -> int:
 def run_cbc_verify(args) -> int:
     h = _read_hg(args.file)
     verdict = batch.check_cbc(h, args.e, budget=_budget(args))
-    cross = batch.check_sdr_all(h, args.e, force=True) if h.m <= 20 else None
+    try:
+        cross = batch.check_sdr_all(h, args.e)
+    except TooLarge:
+        cross = None  # beyond the matching check's guard: no cross-check
     report = {"schema": 1, **verdict.to_report()}
     if cross is not None:
         report["sdr_agrees"] = cross.holds == verdict.holds
@@ -371,7 +374,7 @@ def run_cbc_construct(args) -> int:
 
 
 def run_lrc_build(args) -> int:
-    spec = lrc.construct_lrc(args.q, args.r, args.d, args.m, seed=args.seed, budget=_budget(args, 5 * 10**6))
+    spec = lrc.construct_lrc(args.q, args.r, args.d, args.m, seed=args.seed, budget=_budget(args, lrc.DEFAULT_BUDGET))
     out = args.out or f"lrc_q{args.q}_r{args.r}_d{args.d}_m{args.m}_seed{args.seed}.json"
     with open(out, "w") as fh:
         fh.write(spec.to_json())
@@ -389,7 +392,7 @@ def run_lrc_verify(args) -> int:
             spec = lrc.LrcSpec.from_json(fh.read())
     except OSError as exc:
         raise SparseHgError(f"cannot read {args.file}: {exc.strerror}") from exc
-    report_obj = lrc.check_equivalence(spec, budget=_budget(args, 5 * 10**6))
+    report_obj = lrc.check_equivalence(spec, budget=_budget(args, lrc.DEFAULT_BUDGET))
     report = {"schema": 1, **report_obj.to_report()}
     holds = report_obj.optimal and report_obj.free
     lines = [

@@ -30,10 +30,6 @@ class BadIndex(SparseHgError):
     """An edge index is out of range or repeated."""
 
 
-class UniformityMismatch(SparseHgError):
-    """The hypergraph's uniformity does not match the caller's intent."""
-
-
 class ParseError(SparseHgError):
     """Malformed hypergraph text; carries a 1-based line number."""
 

@@ -16,9 +16,11 @@ root is cut, so a system is rarely built under a root that is not its
 own.  The search keeps its candidate edges, and the edges it cuts, as
 bitsets over edge indices.
 
-The vertex route serves tight levels of simple graphs: v is the fewest
-vertices that e distinct r-edges can span, so every system spans exactly
-v vertices and lies inside exactly one v-set of vertices.  It walks the
+The kernel detects repeated edges itself.  When the edges are pairwise
+distinct, e of them span at least the fewest vertices u that e distinct
+r-edges can span, so levels below u are empty.  The vertex route serves
+the tight levels v = u of such graphs: every system spans exactly v
+vertices and lies inside exactly one v-set of vertices.  It walks the
 v-sets of the vertices the edges touch, pruned by the edges still inside
 them, and emits every e-subset of the edges inside each.  It takes e >= 3
 only where there are at most C(m, 2) such v-sets, as many as the pair
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BadRange, BudgetExceeded, GcdCondition, UniformityMismatch
+from .errors import BadRange, BudgetExceeded, GcdCondition
 from .hypergraph import Hypergraph
 
 
@@ -147,14 +149,13 @@ def span_bounded_systems(
     max_span: int,
     *,
     budget: int | None = None,
-    simple: bool = False,
 ) -> list[tuple[int, ...]]:
     """All `size`-subsets of edge indices whose union spans <= max_span vertices.
 
     The edges are given as vertex bitmasks of one size r (bit v-1 stands
-    for vertex v).  Returns index tuples in lexicographic order.  `budget`
-    caps the number of systems; exceeding it raises BudgetExceeded.  With
-    `simple=True` the edges are promised pairwise distinct, so a union of
+    for vertex v) and may repeat.  Returns index tuples in lexicographic
+    order.  `budget` caps the number of systems; exceeding it raises
+    BudgetExceeded.  When the edges are pairwise distinct, a union of
     `size` of them spans at least the smallest u with C(u, r) >= size;
     spans below that are pruned without scanning, and a tight level
     (max_span == u) on few enough vertices takes the vertex route.
@@ -167,6 +168,7 @@ def span_bounded_systems(
         return []  # no edge fits
     if size == 1:
         return [(i,) for i in range(m)]
+    simple = len(set(masks)) == m
     if simple:
         u = r
         while comb(u, r) < size:
@@ -257,12 +259,34 @@ def _add_vertices(inc: list[int], level: list[int], vertices: int):
             level[t] |= level[t - 1] & ib
 
 
+def _later_partners(masks, shared: int):
+    """For each edge k in order, the edges after k sharing at least `shared`
+    vertices with it, as a bitset over edge indices."""
+    everything = (1 << len(masks)) - 1
+    inc = _incidence(masks)
+    for k, mk in enumerate(masks):
+        level = [everything >> (k + 1) << (k + 1)] + [0] * shared
+        _add_vertices(inc, level, mk)
+        yield level[shared]
+
+
 def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """The systems of any level with 2 <= size and r <= max_span < size*r,
     rooted at their lexicographically first pair sharing at least s*
     vertices (the convexity bound of the module docstring)."""
     m = len(masks)
     r = masks[0].bit_count()
+    if size == 2:
+        # exact threshold: span(a, b) <= max_span iff |a & b| >= 2r - max_span
+        pairs = [
+            (i, j)
+            for i, later in enumerate(_later_partners(masks, 2 * r - max_span))
+            for j in _bit_indices(later)
+        ]
+        if budget is not None and len(pairs) > budget:
+            raise BudgetExceeded(f"{len(pairs)} span-bounded pairs exceed budget {budget}")
+        return pairs
+
     # Sets of edges are bitsets over edge indices; a `level` list starts
     # from every edge (see _add_vertices).
     everything = (1 << m) - 1
@@ -273,16 +297,6 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
         level = [everything] + [0] * s
         _add_vertices(inc, level, masks[k])
         return level[s]
-
-    if size == 2:
-        # exact threshold: span(a, b) <= max_span iff |a & b| >= 2r - max_span
-        need = 2 * r - max_span
-        pairs = [
-            (i, j) for i in range(m) for j in _bit_indices(sharing(i, need) >> (i + 1) << (i + 1))
-        ]
-        if budget is not None and len(pairs) > budget:
-            raise BudgetExceeded(f"{len(pairs)} span-bounded pairs exceed budget {budget}")
-        return pairs
 
     s_star = _root_threshold(r, size, max_span)
     shares = [sharing(k, s_star) for k in range(m)]
@@ -352,14 +366,11 @@ def check_free(
     h: Hypergraph,
     constraint: FreenessConstraint,
     *,
-    r: int | None = None,
     budget: int | None = None,
 ) -> Verdict:
     """Exact check that every `constraint.e` distinct edges of `h` span more
-    than `constraint.v` vertices.  Edge indices refer to `h.edges`; in a
-    multigraph, repeated edges are distinct items."""
-    if r is not None and h.r != r:
-        raise UniformityMismatch(f"hypergraph is {h.r}-uniform, expected {r}")
+    than `constraint.v` vertices.  Edge indices refer to `h.edges`; repeated
+    edges are distinct items."""
     e, v = constraint.e, constraint.v
     kind = constraint.classify(h.r)
     flags = () if kind == "effective" else (kind,)
@@ -368,7 +379,7 @@ def check_free(
     if kind == "unsatisfiable":
         witness = tuple(range(e))
         return Verdict(False, constraint, witness, h.union_span(witness), flags)
-    systems = span_bounded_systems(h.masks, e, v, budget=budget, simple=not h.multi)
+    systems = span_bounded_systems(h.masks, e, v, budget=budget)
     if not systems:
         return Verdict(True, constraint, flags=flags)
     witness = systems[0]
@@ -379,12 +390,9 @@ def check_profile(
     h: Hypergraph,
     profile: ConstraintProfile,
     *,
-    r: int | None = None,
     budget: int | None = None,
 ) -> Verdict:
     """Conjunction check; fails with the witness of the smallest failing e."""
-    if r is not None and h.r != r:
-        raise UniformityMismatch(f"hypergraph is {h.r}-uniform, expected {r}")
     flags: tuple[str, ...] = ()
     for c in profile.constraints:
         verdict = check_free(h, c, budget=budget)
@@ -545,7 +553,7 @@ def berge_girth(h: Hypergraph, t_max: int, *, budget: int | None = None) -> Berg
     if t_max < 2:
         raise BadRange(f"need t_max >= 2, got {t_max}")
     for i in range(2, t_max + 1):
-        systems = span_bounded_systems(h.masks, i, i * (h.r - 1), budget=budget, simple=not h.multi)
+        systems = span_bounded_systems(h.masks, i, i * (h.r - 1), budget=budget)
         if systems:
             cycle = extract_berge_cycle(h, systems[0])
             # scanning i upward means no shorter cycle exists anywhere

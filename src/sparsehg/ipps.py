@@ -11,12 +11,16 @@ property.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from math import gcd
 
-from .builder import construct, plan
+from .builder import DEFAULT_BUDGET, _run_attempts, plan
 from .errors import BadRange, CertificationFailed, GcdCondition, TooLarge
 from .freeness import Verdict
 from .hypergraph import Hypergraph, edge_mask
+
+# the largest n, m and t check_ipps searches exhaustively without force=True
+MAX_N, MAX_M, MAX_T = 20, 12, 3
 
 
 def link_e(t: int) -> int:
@@ -46,15 +50,7 @@ def minimal_covers(
     return covers
 
 
-def check_ipps(
-    h: Hypergraph,
-    t: int,
-    *,
-    max_n: int = 20,
-    max_m: int = 12,
-    max_t: int = 3,
-    force: bool = False,
-) -> Verdict:
+def check_ipps(h: Hypergraph, t: int, *, force: bool = False) -> Verdict:
     """Exhaustive identifying-parents check.
 
     For each r-subset X of the vertices coverable by at most t edges, all
@@ -68,10 +64,10 @@ def check_ipps(
         raise BadRange(f"need t >= 2, got {t}")
     if h.multi:
         raise BadRange("identifying-parents check needs distinct edges")
-    if (h.n > max_n or h.m > max_m or t > max_t) and not force:
+    if (h.n > MAX_N or h.m > MAX_M or t > MAX_T) and not force:
         raise TooLarge(
             f"(n={h.n}, m={h.m}, t={t}) exceeds guard "
-            f"(n <= {max_n}, m <= {max_m}, t <= {max_t}); pass force=True to override"
+            f"(n <= {MAX_N}, m <= {MAX_M}, t <= {MAX_T}); pass force=True to override"
         )
     masks = list(h.masks)
     for x in itertools.combinations(range(1, h.n + 1), h.r):
@@ -103,10 +99,8 @@ def construct_ipps(
     n: int,
     seed: int = 0,
     *,
-    max_retries: int = 16,
-    min_yield: int | None = None,
     min_expected_edges: float | None = None,
-    budget: int = 10**6,
+    budget: int = DEFAULT_BUDGET,
 ) -> Hypergraph:
     """Build an identifying-parents family via span-freeness.
 
@@ -114,8 +108,8 @@ def construct_ipps(
     the t-identifying property; the deficit denominator e - 1 equals
     floor(t^2/4) + t, so the ladder needs gcd(floor(t^2/4) + t, r) = 1.
     The freeness target is the top rung of the ladder certificate that
-    `construct` checks on its output; the exhaustive identifying check
-    additionally runs on outputs within `check_ipps`'s default guard.
+    the builder checks on its output; the exhaustive identifying check
+    additionally runs on outputs within `check_ipps`'s guard.
 
     The covering argument transfers freeness to the identifying property
     only for families of at least e edges (a family of 3..e-1 edges can be
@@ -126,22 +120,9 @@ def construct_ipps(
     if gcd(denom, r) != 1:
         raise GcdCondition(f"gcd(floor(t^2/4) + t, r) = gcd({denom}, {r}) != 1")
     v = e * r - r
-    planned = plan(
-        r, e, v, n, seed=seed, max_retries=max_retries,
-        min_yield=min_yield, min_expected_edges=min_expected_edges,
-    )
-    result = construct(
-        r,
-        e,
-        v,
-        n,
-        seed=seed,
-        max_retries=max_retries,
-        min_yield=max(planned.min_yield, e),
-        min_expected_edges=min_expected_edges,
-        budget=budget,
-    )
-    h = result.hypergraph
+    params = plan(r, e, v, n, seed=seed, min_expected_edges=min_expected_edges)
+    params = replace(params, min_yield=max(params.min_yield, e))
+    h = _run_attempts(params, budget).hypergraph
     try:
         ipps_verdict = check_ipps(h, t)
     except TooLarge:

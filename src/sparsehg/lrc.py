@@ -36,6 +36,9 @@ from .errors import (
 from .freeness import ConstraintProfile, FreenessConstraint, Verdict, check_profile
 from .hypergraph import Hypergraph, canonicalize
 
+# default cap on the work of a min_distance search and of a builder run
+DEFAULT_BUDGET = 5 * 10**6
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -461,7 +464,7 @@ class _ColumnSearch:
         return np.stack(cols[::-1], axis=1)
 
 
-def min_distance(m: FqMatrix, budget: int = 5 * 10**6) -> int:
+def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest number of linearly dependent columns.
 
     The search runs level by level (see _ColumnSearch): every independent
@@ -510,7 +513,7 @@ def singleton_bound(n: int, k: int, r: int) -> int:
     return n - k - math.ceil(k / r) + 2
 
 
-def check_optimal(spec: LrcSpec, *, budget: int = 5 * 10**6) -> Verdict:
+def check_optimal(spec: LrcSpec, *, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Does the actual minimum distance meet n - k - ceil(k/r) + 2?
 
     The verdict's spanned field carries the actual distance; the witness
@@ -572,7 +575,7 @@ class EquivalenceReport:
         }
 
 
-def check_equivalence(spec: LrcSpec, *, budget: int = 5 * 10**6) -> EquivalenceReport:
+def check_equivalence(spec: LrcSpec, *, budget: int = DEFAULT_BUDGET) -> EquivalenceReport:
     """Evaluate optimality and block freeness independently and report both.
 
     Inside the hypotheses d >= 11, r >= d - 2 the two sides must agree;
@@ -636,7 +639,7 @@ def construct_lrc(
     *,
     max_retries: int = 16,
     min_expected_edges: float | None = None,
-    budget: int = 5 * 10**6,
+    budget: int = DEFAULT_BUDGET,
 ) -> LrcSpec:
     """Build an optimal code by constructing a span-free block family.
 

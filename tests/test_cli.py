@@ -254,6 +254,19 @@ def test_cbc_verify(tmp_path, capsys):
     assert report["witness"] == [0, 1, 2, 3]
 
 
+def test_cbc_verify_cross_checks_within_the_matching_guard(tmp_path, capsys):
+    # the distinct-representative cross-check runs up to check_sdr_all's
+    # 20-edge guard and is left out past it
+    triples = list(itertools.combinations(range(1, 8), 3))
+    for m, cross_checked in ((20, True), (21, False)):
+        lines = [f"7 {m} 3"] + [" ".join(map(str, t)) for t in triples[:m]]
+        (tmp_path / f"m{m}.hg").write_text("\n".join(lines) + "\n")
+        assert main(["cbc", "verify", f"m{m}.hg", "--e", "3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert ("sdr_agrees" in report) == cross_checked
+        assert report.get("sdr_agrees", True) is True
+
+
 def test_cbc_construct(tmp_path, capsys):
     rc = main(["cbc", "construct", "--r", "3", "--e", "5", "--n", "24",
                "--seed", "1", "--out", "c.hg"])

@@ -12,6 +12,7 @@ from sparsehg import (
     ConstraintProfile,
     FreenessConstraint,
     GcdCondition,
+    Hypergraph,
     berge_girth,
     berge_profile,
     canonicalize,
@@ -99,7 +100,7 @@ def test_span_bounded_systems_matches_unpruned(rng):
         h = random_hypergraph(rng, n_max=10, m_max=7)
         size = rng.randint(2, 4)
         max_span = rng.randint(3, 10)
-        got = span_bounded_systems(h.masks, size, max_span, simple=True)
+        got = span_bounded_systems(h.masks, size, max_span)
         assert got == oracles.violations(h.edges, size, max_span)
 
 
@@ -209,7 +210,7 @@ def test_span_bounded_system_routes_on_tight_levels(rng):
         want = oracles.violations(h.edges, size, u)
         assert _vertex_route(h.masks, size, u) == want
         assert _pair_route(h.masks, size, u) == want
-        assert span_bounded_systems(h.masks, size, u, simple=True) == want
+        assert span_bounded_systems(h.masks, size, u) == want
         if not want:
             continue
         assert _vertex_route(h.masks, size, u, budget=len(want)) == want
@@ -229,8 +230,7 @@ def test_span_bounded_systems_spans_below_r_are_empty():
         for h in (simple, dup):
             for size in range(1, 6):
                 for max_span in (0, 1, r - 1):
-                    for flag in {False, not h.multi}:
-                        assert span_bounded_systems(h.masks, size, max_span, simple=flag) == []
+                    assert span_bounded_systems(h.masks, size, max_span) == []
 
 
 def test_span_bounded_systems_budget_counts_each_system_once(rng):
@@ -263,10 +263,44 @@ def test_span_bounded_systems_budget():
 def test_simple_flag_prunes_impossible_spans():
     # 5 distinct triples always span at least 5 vertices
     h = canonicalize([list(e) for e in itertools.combinations(range(1, 6), 3)], 5)
-    assert span_bounded_systems(h.masks, 5, 4, simple=True) == []
+    assert span_bounded_systems(h.masks, 5, 4) == []
     # but 5 repeated edges of a multigraph can sit inside 3
     dup = canonicalize([[1, 2, 3]] * 5, 3, multi=True)
     assert span_bounded_systems(dup.masks, 5, 4) == [(0, 1, 2, 3, 4)]
+
+
+def test_repeated_edges_are_detected_without_the_multi_flag(rng):
+    # the Hypergraph constructor does not validate `multi`, so the kernel
+    # must find repeated edges itself: three copies of {1, 2, 3} violate
+    # (3, 3) whatever the flag says
+    checked = 0
+    for r in (3, 4):
+        graphs = [[tuple(range(1, r + 1))] * 3]
+        for _ in range(12):
+            n = rng.randint(r + 1, r + 4)
+            pool = list(itertools.combinations(range(1, n + 1), r))
+            edges = rng.sample(pool, rng.randint(2, min(6, len(pool))))
+            edges += rng.choices(edges, k=rng.randint(1, 2))
+            graphs.append(edges)
+        for edges in graphs:
+            n = max(max(edge) for edge in edges)
+            unflagged = Hypergraph(n, r, tuple(sorted(edges)), False)
+            flagged = Hypergraph(n, r, tuple(sorted(edges)), True)
+            for size in range(2, 5):
+                for v in range(r, size * r):
+                    want = oracles.violations(unflagged.edges, size, v)
+                    assert span_bounded_systems(unflagged.masks, size, v) == want
+                    c = FreenessConstraint(size, v)
+                    verdict = check_free(unflagged, c)
+                    assert verdict == check_free(flagged, c)
+                    assert verdict.holds == (not want)
+                    assert verdict.witness == (want[0] if want else None)
+                    profile = ConstraintProfile((c,))
+                    joint = check_profile(unflagged, profile)
+                    assert joint == check_profile(flagged, profile)
+                    assert (joint.holds, joint.witness) == (verdict.holds, verdict.witness)
+                    checked += 1
+    assert checked == 13 * (18 + 24)  # 13 graphs per r; 18 levels at r = 3, 24 at r = 4
 
 
 # --- profile formulas ----------------------------------------------------

@@ -19,7 +19,7 @@ from sparsehg import (
     link_e,
     minimal_covers,
 )
-from sparsehg import ipps
+from sparsehg import builder, ipps
 from sparsehg.hypergraph import edge_mask
 
 
@@ -202,6 +202,22 @@ def test_construct_ipps_defers_to_the_check_guard(monkeypatch):
     monkeypatch.setattr(ipps, "check_ipps", lambda h, t: Verdict(holds=False, witness="planted"))
     with pytest.raises(CertificationFailed, match="planted"):
         construct_ipps(3, 3, 500, seed=4)
+
+
+def test_construct_ipps_plans_once(monkeypatch):
+    # the attempt loop runs on the planned parameters, with the yield floor
+    # raised to e, instead of planning again inside construct
+    calls = []
+    real_plan = builder.plan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_plan(*args, **kwargs)
+
+    monkeypatch.setattr(ipps, "plan", counting)
+    monkeypatch.setattr(builder, "plan", counting)
+    h = construct_ipps(3, 3, 500, seed=4)
+    assert len(calls) == 1 and h.m >= link_e(3)
 
 
 def test_construct_34_parameters_valid():
