@@ -114,7 +114,12 @@ def union_span(h: Hypergraph, indices) -> int:
 
 
 def serialize_hg(h: Hypergraph) -> str:
-    """Render the canonical .hg text: header 'n m r [multi]', one edge per line."""
+    """Render the canonical .hg text: header 'n m r [multi]', one edge per line.
+
+    Repeated edges raise DuplicateEdge unless multi is set, as parse_hg
+    would reject the text."""
+    if not h.multi and len(set(h.edges)) != h.m:
+        raise DuplicateEdge("repeated edges need the multi flag")
     header = f"{h.n} {h.m} {h.r}"
     if h.multi:
         header += " multi"

@@ -62,7 +62,7 @@ def check_ipps(h: Hypergraph, t: int, *, force: bool = False) -> Verdict:
     """
     if t < 2:
         raise BadRange(f"need t >= 2, got {t}")
-    if h.multi:
+    if len(set(h.masks)) != h.m:
         raise BadRange("identifying-parents check needs distinct edges")
     if (h.n > MAX_N or h.m > MAX_M or t > MAX_T) and not force:
         raise TooLarge(

@@ -264,7 +264,7 @@ def code_dimension(spec: LrcSpec) -> int:
 
 _FRONTIER_BYTES = 1 << 18
 """Cap on the bytes of stored search states, whatever the budget; the
-temporaries of one elimination step stay under a quarter of it."""
+temporaries of one elimination step stay under a third of it."""
 
 
 def _storage_dtype(q: int):
@@ -296,8 +296,11 @@ class _ColumnSearch:
     dependent set one larger.  Level j of a slab holds every independent
     set P + T with |T| = j and min(T) in the slab's range of first columns,
     one array (rows, columns, states) per group of equal max(T), states in
-    colex order of T; one batched rank-1 update per (group, later column)
-    builds level j + 1.  States run along the last axis so that numpy's
+    colex order of T.  Every group of a level is checked for zero columns
+    before any child is built.  Group c of level j + 1 then takes, from
+    every group l < c in order, the columns from c on (all of width
+    n - c), and one batched rank-1 update per batch of them extends these
+    states by column c.  States run along the last axis so that numpy's
     inner loops are long.
 
     A slab whose two largest consecutive levels would pass _FRONTIER_BYTES
@@ -359,15 +362,15 @@ class _ColumnSearch:
     def _peak(self, base: int, rank: int, f_lo: int, f_hi: int) -> int:
         """Bytes of the two largest consecutive levels a slab stores: prefix
         length base, rank rows left, first columns in [f_lo, f_hi).  Level
-        0 is the prefix, and the last level searched is never stored."""
+        0 is the prefix, and the last level searched is never stored.  A
+        state of level j with max(T) = l stores n - 1 - l columns, and
+        summed over T these are C(n - f_lo, j + 1) - C(n - f_hi, j + 1)
+        (hockey stick)."""
         n = self.n
         level = [rank * (n - f_lo) * self.entry_bytes]
         for j in range(1, self.best - 1 - base):
-            states = sum(
-                (_comb(l - f_lo, j - 1) - _comb(l - f_hi, j - 1)) * (n - 1 - l)
-                for l in range(f_lo, n)
-            )
-            level.append(states * (rank - j) * self.entry_bytes)
+            columns = _comb(n - f_lo, j + 1) - _comb(n - f_hi, j + 1)
+            level.append(columns * (rank - j) * self.entry_bytes)
         level.append(0)
         return max(a + b for a, b in zip(level, level[1:]))
 
@@ -403,47 +406,66 @@ class _ColumnSearch:
         held = state.nbytes  # bytes of the stored levels
         sizes: list[np.ndarray] = []  # sizes[j - 1][l]: states in group l at level j
         j = 0
-        while base + j + 1 < self.best:
-            store = base + j + 2 < self.best
+        while groups and base + j + 1 < self.best:
+            # zero columns of the whole level before any child is built:
+            # the lex-first dependent set of each group, then of the level
+            hits = []
+            for l, x in groups.items():
+                width = f_hi - f_lo if j == 0 else x.shape[1]
+                t, idx = np.nonzero(~(x[:, :width] != 0).any(axis=0))
+                if len(t):
+                    sets = self._unrank(sizes, l, l + 1 + t, idx)
+                    hits.append(tuple(int(a) for a in sets[np.lexsort(sets.T[::-1])[0]]))
+            if hits:
+                self._found(prefix + min(hits))
+                return
+            if base + j + 2 == self.best:
+                return  # the last level searched is never stored
             # group c of level j + 1 is every state of the groups l < c in
-            # order, so group l's children start at state nxt[l] of each
+            # order, nxt[c] states
             nxt = np.zeros(n, np.int64)
             if j == 0:
                 nxt[f_lo:f_hi] = 1
+                cs = range(f_lo, f_hi)
             else:
                 nxt[1:] = np.cumsum(sizes[-1])[:-1]
+                cs = range(min(groups) + 1, n)
+            height = len(state) - j  # rows of each parent state
+            keys = sorted(groups)
             children: dict[int, np.ndarray] = {}
-            hits = []
-            for l in sorted(groups):
-                x = groups.pop(l)
-                ts = range(f_hi - f_lo) if j == 0 else range(x.shape[1])
-                # three temporaries per child, each at most a parent chunk
-                per_state = np.dtype(self.work).itemsize * max(1, x[:, :, 0].size)
+            # descending c, so each parent group is freed after its last child
+            for c in reversed(cs):
+                while keys[-1] >= c:
+                    held -= groups.pop(keys.pop()).nbytes
+                child = np.empty((height - 1, n - 1 - c, nxt[c]), self.dtype)
+                held += child.nbytes
+                self.peak = max(self.peak, held)
+                # the parents' columns from c on, width n - c each, gathered
+                # in batches of at most step states: four temporaries per
+                # batch, the batch and three in _eliminate
+                per_state = np.dtype(self.work).itemsize * max(1, height * (n - c))
                 step = max(1, _FRONTIER_BYTES // (12 * per_state))
-                for s in range(0, x.shape[2], step):
-                    chunk = x[:, :, s : s + step]
-                    zero = ~(chunk[:, : ts.stop] != 0).any(axis=0)
-                    if zero.any():
-                        t, idx = np.nonzero(zero)
-                        hits.append((l, l + 1 + t, s + idx))
-                        held -= sum(a.nbytes for a in children.values())
-                        children, store = {}, False
-                    if not store:
-                        continue
-                    for t in ts:
-                        c = l + 1 + t
-                        if c not in children:
-                            children[c] = np.empty((len(x) - 1, n - 1 - c, nxt[c]), self.dtype)
-                            held += children[c].nbytes
-                            self.peak = max(self.peak, held)
-                        at = (nxt[l] if j else 0) + s
-                        children[c][:, :, at : at + chunk.shape[2]] = self._eliminate(chunk, t)
-                held -= x.nbytes
-            if hits:
-                rows = np.concatenate([self._unrank(sizes, *hit) for hit in hits])
-                first = rows[np.lexsort(rows.T[::-1])[0]]
-                self._found(prefix + tuple(int(a) for a in first))
-                return
+                batches, batch, filled = [], [], 0
+                for l in keys:
+                    x = groups[l][:, c - l - 1 :]
+                    s = 0
+                    while s < x.shape[2]:
+                        take = min(step - filled, x.shape[2] - s)
+                        batch.append(x[:, :, s : s + take])
+                        s += take
+                        filled += take
+                        if filled == step:
+                            batches.append(batch)
+                            batch, filled = [], 0
+                if batch:
+                    batches.append(batch)
+                at = 0
+                for batch in batches:
+                    x = batch[0] if len(batch) == 1 else np.concatenate(batch, axis=2, dtype=self.work)
+                    child[:, :, at : at + x.shape[2]] = self._eliminate(x, 0)
+                    at += x.shape[2]
+                children[c] = child
+            held -= sum(x.nbytes for x in groups.values())
             sizes.append(nxt)
             groups = children
             j += 1
@@ -467,17 +489,17 @@ class _ColumnSearch:
 def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest number of linearly dependent columns.
 
-    The search runs level by level (see _ColumnSearch): every independent
-    set of one size is extended by every later column at once, and a zero
-    column is a dependent set.  The budget meters the same work as an
-    exhaustive sweep of column subsets, by size and then in lexicographic
-    order, up to and including the first dependent one: the result is
-    returned only if that count is at most the budget, and otherwise
-    BudgetExceeded carries checked_up_to, the largest size whose subsets
-    the budget covers entirely (every smaller size is then cleared).
-    Arithmetic is exact for every prime PrimeField accepts, and the
-    search's working memory is capped by _FRONTIER_BYTES whatever the
-    budget.
+    The search runs level by level (see _ColumnSearch): a zero column is
+    a dependent set, and the independent sets of one size are extended
+    one new column at a time, all sets ending before it together.  The
+    budget meters the same work as an exhaustive sweep of column subsets,
+    by size and then in lexicographic order, up to and including the
+    first dependent one: the result is returned only if that count is at
+    most the budget, and otherwise BudgetExceeded carries checked_up_to,
+    the largest size whose subsets the budget covers entirely (every
+    smaller size is then cleared).  Arithmetic is exact for every prime
+    PrimeField accepts, and the search's working memory is capped by
+    _FRONTIER_BYTES whatever the budget.
     """
     n = m.cols
     if n == 0:

@@ -158,6 +158,21 @@ def min_dependent_columns(rows, q, max_size=None):
     return None
 
 
+
+def lex_first_dependent_columns(rows, q, max_size=None):
+    """The first linearly dependent column subset an exhaustive sweep
+    meets: sizes ascending, each size in lexicographic order.  None if
+    every subset of at most max_size columns is independent."""
+    cols = len(rows[0])
+    hi = cols if max_size is None else min(max_size, cols)
+    column = [[row[c] for row in rows] for c in range(cols)]
+    for size in range(1, hi + 1):
+        for combo in itertools.combinations(range(cols), size):
+            sub = [[column[c][i] for c in combo] for i in range(len(rows))]
+            if rank_mod(sub, q) < size:
+                return combo
+    return None
+
 def min_distance_leaves(rows, q):
     """Column subsets an exhaustive distance search examines: sizes
     ascending, each size in lexicographic order, up to and including the

@@ -121,6 +121,16 @@ def test_parse_rejects_duplicate_without_multi_flag():
     assert h.multi and h.m == 2
 
 
+
+def test_serialize_rejects_repeated_edges_without_multi_flag():
+    # the constructor takes repeated edges with multi left False; the text
+    # would fail parse_hg, so serialize_hg refuses to write it
+    h = Hypergraph(9, 3, ((1, 2, 3), (1, 2, 3), (4, 5, 6)), False)
+    with pytest.raises(DuplicateEdge):
+        serialize_hg(h)
+    text = serialize_hg(Hypergraph(9, 3, h.edges, True))
+    assert parse_hg(text) == Hypergraph(9, 3, h.edges, True)
+
 @given(st.integers(2, 4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_property(r, data):

@@ -9,6 +9,7 @@ from sparsehg import (
     CertificationFailed,
     FreenessConstraint,
     GcdCondition,
+    Hypergraph,
     RetriesExhausted,
     TooLarge,
     Verdict,
@@ -116,6 +117,12 @@ def test_guard_and_force():
         check_ipps(h, 2)
     assert check_ipps(h, 2, force=True).holds
 
+
+
+def test_repeated_edges_are_rejected_without_the_multi_flag():
+    h = Hypergraph(9, 3, ((1, 2, 3), (1, 2, 3), (4, 5, 6)), False)
+    with pytest.raises(BadRange):
+        check_ipps(h, 2)
 
 def test_freeness_implies_identifying(rng):
     # 20 repaired instances of the Lemma 4.2 hypothesis, e=4, v=9

@@ -4,6 +4,7 @@ and the optimality/freeness cross-check for locally recoverable codes."""
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,68 @@ def test_flagship_distance_with_split_frontier(split_search, cap):
     assert exc.value.checked_up_to == 10
     assert all(0 < s.peak <= cap for s in searches)
 
+
+
+@pytest.mark.parametrize("cap", [None, 0, 256, 4096])
+def test_column_search_hit_is_the_lex_first_dependent_set(rng, monkeypatch, cap):
+    # the set the search reports is the one an exhaustive sweep by size,
+    # then in lex order, meets first, however the search is split into
+    # slabs; square full-rank shapes run out of child groups before the
+    # size cap
+    if cap is not None:
+        monkeypatch.setattr(lrc, "_FRONTIER_BYTES", cap)
+    for _ in range(150):
+        q = rng.choice([2, 3, 5, 23, 257, 2**61 - 1])
+        n_rows, cols = rng.randint(1, 5), rng.randint(1, 8)
+        density = rng.random()
+        entries = [
+            [rng.randrange(q) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(n_rows)
+        ]
+        rows = lrc._echelon(lrc.fq_matrix(lrc.PrimeField(q), entries))
+        max_size = rng.randint(1, len(rows) + 1)
+        expected = oracles.lex_first_dependent_columns(entries, q, max_size)
+        assert lrc._ColumnSearch(rows, q, max_size).hit == expected
+
+
+def test_peak_closed_form_matches_the_sum_over_max_columns():
+    # _peak counts the columns a level stores as C(n - f_lo, j + 1) -
+    # C(n - f_hi, j + 1); the plain count sums n - 1 - l over the
+    # j-sets T with max(T) = l and min(T) in [f_lo, f_hi)
+    search = lrc._ColumnSearch(np.ones((1, 2), np.int64), 23, 1)
+    comb = lrc._comb
+    for n in range(1, 25):
+        search.n = n
+        rank = n + 1
+        for f_lo in range(n):
+            for f_hi in range(f_lo + 1, n + 1):
+                level = [rank * (n - f_lo)]
+                for j in range(1, n + 1):
+                    columns = sum(
+                        (comb(l - f_lo, j - 1) - comb(l - f_hi, j - 1)) * (n - 1 - l)
+                        for l in range(f_lo, n)
+                    )
+                    level.append(columns * (rank - j))
+                for best in range(2, n + 3):
+                    search.best = best
+                    stored = level[: best - 1] + [0]
+                    expected = max(a + b for a, b in zip(stored, stored[1:]))
+                    assert search._peak(0, rank, f_lo, f_hi) == expected * search.entry_bytes
+
+
+@pytest.mark.parametrize("cap", [1 << 16, 1 << 18])
+def test_distance_search_memory_is_capped(monkeypatch, cap):
+    # stored levels and every temporary of the search together stay within
+    # twice the frontier cap, plus a fixed allowance for small objects
+    monkeypatch.setattr(lrc, "_FRONTIER_BYTES", cap)
+    h = lrc.parity_check(FLAGSHIP)
+    tracemalloc.start()
+    try:
+        assert lrc.min_distance(h) == 11
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * cap + (64 << 10)
 
 def test_singleton_bound():
     assert lrc.singleton_bound(22, 11, 10) == 11
