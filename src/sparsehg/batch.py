@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .builder import DEFAULT_BUDGET, construct
-from .errors import BadRange, CertificationFailed, GcdCondition, SparseHgError, TooLarge
+from .errors import BadRange, GcdCondition, SparseHgError, TooLarge
 from .freeness import Verdict, check_profile, deficit_profile
 from .hypergraph import Hypergraph
 
@@ -131,10 +131,8 @@ def construct_cbc(
         min_expected_edges=min_expected_edges,
         budget=budget,
     )
-    # with every margin nonnegative, each ladder rung (i, i*r - f(i)) the
-    # certificate checked implies the deficit rung (i, i - 1), and the rung
-    # i = 1 holds for any edge; check_cbc would repeat the same searches
-    verdict = result.certificate
-    if not verdict.holds:
-        raise CertificationFailed(f"certification failed: {verdict.constraint} {verdict.witness}")
+    # construct raises unless its ladder certificate holds; with every
+    # margin nonnegative, each ladder rung (i, i*r - f(i)) implies the
+    # deficit rung (i, i - 1), and the rung i = 1 holds for any edge, so
+    # check_cbc would repeat the same searches
     return result.hypergraph

@@ -29,7 +29,6 @@ from .errors import (
     BudgetExceeded,
     CertificationFailed,
     InsufficientYield,
-    ParseError,
     RetriesExhausted,
     SparseHgError,
     TooLarge,

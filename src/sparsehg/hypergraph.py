@@ -8,7 +8,7 @@ which keeps span computations cheap in the enumeration kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadIndex, DuplicateEdge, NonUniform, OutOfRange, ParseError

@@ -6,18 +6,19 @@ the r others in its block) plus d-2 Vandermonde parities evaluated at the
 block's support A_i inside a prime field.  Optimality, meaning the
 Singleton-type bound d = n - k - ceil(k/r) + 2 is met, is equivalent to a
 span condition on the family {A_i}: no i blocks inside i*r points, for
-every i up to floor((d-1)/2).  Both sides are computed exactly.
+every i up to floor((d-1)/2) (Guruswami, Xing and Yuan, "How long can
+optimal locally repairable codes be?", IEEE Trans. Inf. Theory, 2019).
+Both sides are computed exactly; rank and minimum distance by the one
+fraction-free elimination step _eliminate.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,35 +117,50 @@ def _work_dtype(q: int):
     return next(t for t in (np.int16, np.int32, np.int64) if (q - 1) ** 2 <= np.iinfo(t).max)
 
 
-def _echelon(m: FqMatrix) -> np.ndarray:
-    """Reduced row echelon form over the prime field, zero rows dropped.
+def _eliminate(x: np.ndarray, q: int) -> np.ndarray:
+    """Contract column 0 of x, an array (rows, columns, states) in the work
+    dtype that the caller owns, with column 0 nonzero in every state: the
+    later columns of each state reduced against it, one row fewer.
 
-    Exact for every prime PrimeField accepts (see _work_dtype).  Row
-    operations keep every column dependency, so the distance search runs
-    on the rank-many rows this returns.
+    Row operations keep a state's column dependencies, so x[0] first takes
+    on later rows, in place, until its entry p in column 0 is nonzero; on
+    return x[0] is the pivot row.  Each later row y then becomes
+    p*y - y_0*x[0], p times the usual reduction (scaling keeps the
+    dependencies too, and needs no inverse).  Nothing here copies x.
     """
+    row0 = x[0]
+    for i in range(1, len(x)):
+        fix = row0[0] == 0
+        if not fix.any():
+            break
+        row0[:, fix] = (row0[:, fix] + x[i][:, fix]) % q
+    e = row0[:1] * x[1:, 1:]
+    e -= x[1:, :1] * row0[1:]
+    e -= e // q * q  # e %= q, but numpy divides faster than it takes remainders
+    return e
+
+
+def _row_basis(m: FqMatrix) -> np.ndarray:
+    """Rank-many rows with the row space of m, in the work dtype: a column
+    walk with _eliminate keeps the pivot row of each nonzero column,
+    zero-padded to full width, and skips each zero column."""
     q = m.field.q
-    a = np.array(m.entries, dtype=_work_dtype(q)).reshape(m.rows, m.cols)
+    x = np.array(m.entries, dtype=_work_dtype(q)).reshape(m.rows, m.cols, 1)
+    basis = np.zeros((min(m.rows, m.cols), m.cols), x.dtype)
     r = 0
     for c in range(m.cols):
-        if r == m.rows:
-            break
-        below = np.flatnonzero(a[r:, c] != 0)
-        if below.size == 0:
-            continue
-        pivot = r + int(below[0])
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), q - 2, q) % q
-        others = np.flatnonzero(a[:, c] != 0)
-        others = others[others != r]
-        a[others] = (a[others] - a[others, c][:, None] * a[r]) % q
-        r += 1
-    return a[:r]
+        if (x[:, 0] != 0).any():
+            rest = _eliminate(x, q)
+            basis[r, c:] = x[0, :, 0]
+            x, r = rest, r + 1
+        else:
+            x = x[:, 1:]
+    return basis[:r]
 
 
 def rank(m: FqMatrix) -> int:
-    """Rank over the prime field, by _echelon."""
-    return len(_echelon(m))
+    """Rank over the prime field, by _row_basis."""
+    return len(_row_basis(m))
 
 
 def vandermonde(a_list: tuple[int, ...], d: int, field: PrimeField) -> FqMatrix:
@@ -337,28 +353,6 @@ class _ColumnSearch:
         self.best = len(subset)
         self.hit = subset
 
-    def _eliminate(self, x: np.ndarray, t: int) -> np.ndarray:
-        """States x, (rows, columns, states) with column t nonzero in
-        each, extended by column t.
-
-        Row operations keep a state's column dependencies, so row 0 first
-        takes on later rows until its entry p in column t is nonzero.  Each
-        later row y then becomes p*y - y_t*row0, p times the usual
-        reduction (scaling keeps the dependencies too, and needs no
-        inverse), and row 0 is dropped.
-        """
-        x = x[:, t:].astype(self.work)
-        row0 = x[0]
-        for i in range(1, len(x)):
-            fix = row0[0] == 0
-            if not fix.any():
-                break
-            row0[:, fix] = (row0[:, fix] + x[i][:, fix]) % self.q
-        e = row0[:1] * x[1:, 1:]
-        e -= x[1:, :1] * row0[1:]
-        e -= e // self.q * self.q  # e %= q, but numpy divides faster than it takes remainders
-        return e
-
     def _peak(self, base: int, rank: int, f_lo: int, f_hi: int) -> int:
         """Bytes of the two largest consecutive levels a slab stores: prefix
         length base, rank rows left, first columns in [f_lo, f_hi).  Level
@@ -383,8 +377,8 @@ class _ColumnSearch:
                 if not (state[:, f - lo] != 0).any():
                     self._found(prefix + (f,))
                 else:
-                    child = self._eliminate(state[:, :, None], f - lo)[:, :, 0].astype(self.dtype)
-                    self._prefix(prefix + (f,), child, f + 1)
+                    child = _eliminate(state[:, f - lo :, None].astype(self.work), self.q)
+                    self._prefix(prefix + (f,), child[:, :, 0].astype(self.dtype), f + 1)
                 f += 1
                 continue
             # the widest slab [f, hi) that fits; peaks grow with hi
@@ -461,8 +455,9 @@ class _ColumnSearch:
                     batches.append(batch)
                 at = 0
                 for batch in batches:
-                    x = batch[0] if len(batch) == 1 else np.concatenate(batch, axis=2, dtype=self.work)
-                    child[:, :, at : at + x.shape[2]] = self._eliminate(x, 0)
+                    # a new array even for one piece: _eliminate overwrites x[0]
+                    x = np.concatenate(batch, axis=2, dtype=self.work)
+                    child[:, :, at : at + x.shape[2]] = _eliminate(x, self.q)
                     at += x.shape[2]
                 children[c] = child
             held -= sum(x.nbytes for x in groups.values())
@@ -504,7 +499,7 @@ def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
     n = m.cols
     if n == 0:
         raise NotACode("no columns")
-    rows = _echelon(m)
+    rows = _row_basis(m)
     if not len(rows):
         return 1  # zero matrix: every single column is dependent
     # the first size the budget cannot sweep in full, if any
@@ -716,7 +711,10 @@ def construct_lrc(
     spec = LrcSpec(
         q=q, r=r, d=d, a_list=tuple(tuple(x - 1 for x in edge) for edge in edges)
     )
-    report = check_equivalence(spec, budget=budget)
-    if not (report.optimal and report.free):
-        raise CertificationFailed(f"certification failed: {report.to_report()}")
+    # the free side is the builder's certificate: its ladder rungs
+    # (i, i*(r+1) - f(i)) are freeness_profile's (i, i*r) for 2 <= i <= t,
+    # rung 1 holds for any block, and a subfamily of a free family is free
+    verdict = check_optimal(spec, budget=budget)
+    if not verdict.holds:
+        raise CertificationFailed(f"certification failed: (k, bound, d_actual) = {verdict.witness}")
     return spec

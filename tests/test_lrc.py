@@ -4,6 +4,7 @@ and the optimality/freeness cross-check for locally recoverable codes."""
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from sparsehg import lrc
+from sparsehg import builder, freeness, lrc
 from sparsehg.errors import (
     BadRange,
     BadShape,
@@ -39,8 +40,8 @@ def test_prime_field_rejects_composite():
 
 @given(st.data())
 def test_field_axioms(data):
-    # the field arithmetic the library runs is the elimination in _echelon:
-    # its ranks and its pivot scaling must agree with plain modular algebra
+    # the field arithmetic the library runs is the elimination in _eliminate:
+    # its ranks must agree with plain modular algebra
     q = data.draw(st.sampled_from(PRIMES))
     f = lrc.PrimeField(q)
     a = data.draw(st.integers(0, q - 1))
@@ -49,17 +50,14 @@ def test_field_axioms(data):
     for rows in ([[a]], [[a, b], [c * a, c * b]], [[a, b], [c, a * b + c]]):
         assert lrc.rank(lrc.fq_matrix(f, rows)) == oracles.rank_mod(rows, q)
     assert lrc.rank(lrc.fq_matrix(f, [[a, b], [c * a, c * b]])) == (1 if a or b else 0)
-    if a:
-        (row,) = lrc._echelon(lrc.fq_matrix(f, [[a, b]])).tolist()
-        assert row[0] == 1 and row[1] * a % q == b
     assert f.pow(a, 3) == pow(a, 3, q)
 
 
 def test_inverse_of_zero():
     # elimination never takes a zero entry as a pivot
     f = lrc.PrimeField(7)
-    assert lrc._echelon(lrc.fq_matrix(f, [[0]])).tolist() == []
-    assert lrc._echelon(lrc.fq_matrix(f, [[0, 3]])).tolist() == [[0, 1]]
+    assert lrc._row_basis(lrc.fq_matrix(f, [[0]])).tolist() == []
+    assert lrc._row_basis(lrc.fq_matrix(f, [[0, 3], [0, 5]])).tolist() == [[0, 3]]
     assert lrc.rank(lrc.fq_matrix(f, [[0, 0], [0, 5]])) == oracles.rank_mod([[0, 0], [0, 5]], 7) == 1
 
 
@@ -80,6 +78,23 @@ def test_rank_small():
     assert lrc.rank(lrc.fq_matrix(f, [])) == 0
 
 
+# primes for matrices with more rows than rank
+ROW_PRIMES = [2, 3, 23, 257, 2**61 - 1]
+
+
+def _more_rows_than_rank(rng, entries, q):
+    """entries with a zero row, a repeated row and a scalar multiple of a
+    row added, in shuffled order."""
+    c = rng.randrange(1, q)
+    rows = entries + [
+        [0] * len(entries[0]),
+        list(rng.choice(entries)),
+        [x * c % q for x in rng.choice(entries)],
+    ]
+    rng.shuffle(rows)
+    return rows
+
+
 def test_rank_matches_oracle(rng):
     for _ in range(200):
         q = rng.choice(PRIMES)
@@ -88,6 +103,14 @@ def test_rank_matches_oracle(rng):
         entries = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
         m = lrc.fq_matrix(lrc.PrimeField(q), entries)
         assert lrc.rank(m) == oracles.rank_mod(entries, q)
+    for _ in range(200):
+        q = rng.choice(ROW_PRIMES)
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 7)
+        entries = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        entries = _more_rows_than_rank(rng, entries, q)
+        m = lrc.fq_matrix(lrc.PrimeField(q), entries)
+        assert lrc.rank(m) == oracles.rank_mod(entries, q) < len(entries)
 
 
 def test_rank_row_permutation_invariant(rng):
@@ -218,6 +241,19 @@ def test_min_distance_matches_oracles(rng):
         assert d == expected
         # same number through the codeword lens: minimum nonzero weight
         assert d == oracles.code_min_weight(entries, q)
+    for _ in range(80):
+        q = rng.choice(ROW_PRIMES)
+        rows = rng.randint(1, 4)
+        cols = rng.randint(2, 7)
+        entries = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        entries = _more_rows_than_rank(rng, entries, q)
+        m = lrc.fq_matrix(lrc.PrimeField(q), entries)
+        expected = oracles.min_dependent_columns(entries, q)
+        if expected is None:
+            with pytest.raises(NotACode):
+                lrc.min_distance(m)
+        else:
+            assert lrc.min_distance(m) == expected
 
 
 # primes at the edges of the integer types the search computes and stores in
@@ -266,10 +302,10 @@ def test_elimination_and_distance_match_oracles_for_every_prime_size(data):
 
 @pytest.mark.parametrize("q", WIDTH_PRIMES + [2**61 - 1])
 def test_batched_elimination_contracts_the_column_exactly(rng, q):
-    # extending a state by column 0 must leave the later columns with
-    # exactly the dependencies they have modulo column 0, in every state
-    # of the batch, with entries at the top of the integer type's range
-    search = lrc._ColumnSearch(np.ones((1, 2), np.int64), q, 1)
+    # contracting column 0 must leave the later columns with exactly the
+    # dependencies they have modulo column 0, in every state of the batch,
+    # with entries at the top of the integer type's range; x[0] is left as
+    # the pivot row, which with the contracted rows spans the state's rows
     values = [0, 1, 2, q - 2, q - 1]
     for _ in range(20):
         rows, cols = rng.randint(2, 4), rng.randint(3, 5)
@@ -284,10 +320,15 @@ def test_batched_elimination_contracts_the_column_exactly(rng, q):
             for row in state:
                 row[-1] = (a * row[0] + b * row[1]) % q
             states.append(state)
-        x = np.array(states, dtype=lrc._storage_dtype(q)).transpose(1, 2, 0)
-        child = search._eliminate(x, 0)
+        x = np.array(states, dtype=lrc._work_dtype(q)).transpose(1, 2, 0)
+        child = lrc._eliminate(x, q)
         for i, state in enumerate(states):
+            pivot = [int(v) for v in x[0, :, i]]
             reduced = [[int(v) for v in row] for row in child[:, :, i]]
+            assert pivot[0] != 0
+            basis = [pivot] + [[0] + row for row in reduced]
+            rank = oracles.rank_mod(state, q)
+            assert oracles.rank_mod(basis, q) == rank == oracles.rank_mod(state + basis, q)
             for size in range(1, cols):
                 for subset in itertools.combinations(range(cols - 1), size):
                     with_0 = [[row[0]] + [row[1 + u] for u in subset] for row in state]
@@ -374,21 +415,51 @@ def test_column_search_hit_is_the_lex_first_dependent_set(rng, monkeypatch, cap)
     # the set the search reports is the one an exhaustive sweep by size,
     # then in lex order, meets first, however the search is split into
     # slabs; square full-rank shapes run out of child groups before the
-    # size cap
+    # size cap.  The search starts from _row_basis, rank-many rows, also
+    # when the matrix has more rows than rank
     if cap is not None:
         monkeypatch.setattr(lrc, "_FRONTIER_BYTES", cap)
-    for _ in range(150):
-        q = rng.choice([2, 3, 5, 23, 257, 2**61 - 1])
+    for i in range(250):
+        q = rng.choice([2, 3, 5, 23, 257, 2**61 - 1] if i < 150 else ROW_PRIMES)
         n_rows, cols = rng.randint(1, 5), rng.randint(1, 8)
         density = rng.random()
         entries = [
             [rng.randrange(q) if rng.random() < density else 0 for _ in range(cols)]
             for _ in range(n_rows)
         ]
-        rows = lrc._echelon(lrc.fq_matrix(lrc.PrimeField(q), entries))
+        if i >= 150:
+            entries = _more_rows_than_rank(rng, entries, q)
+        rows = lrc._row_basis(lrc.fq_matrix(lrc.PrimeField(q), entries))
+        assert len(rows) == oracles.rank_mod(entries, q)
         max_size = rng.randint(1, len(rows) + 1)
         expected = oracles.lex_first_dependent_columns(entries, q, max_size)
         assert lrc._ColumnSearch(rows, q, max_size).hit == expected
+
+
+@pytest.mark.parametrize("cap", [None, 0, 256])
+def test_column_search_never_writes_to_a_stored_state(rng, monkeypatch, cap):
+    # _eliminate rewrites x[0] in place, from column c on; a view of a
+    # stored state would leave that state's columns before c unchanged and
+    # corrupt its later children.  In Python integers (q >= 2^31) the work
+    # and storage dtypes agree, so only an explicit copy guards this;
+    # sparse rows make row 0 take on later rows often
+    if cap is not None:
+        monkeypatch.setattr(lrc, "_FRONTIER_BYTES", cap)
+    q = 2**61 - 1
+    values = [0, 1, 2, q - 1]
+    for _ in range(60):
+        cols = rng.randint(3, 8)
+        entries = [
+            [rng.choice(values + [rng.randrange(q)]) if rng.random() < 0.6 else 0 for _ in range(cols)]
+            for _ in range(rng.randint(2, 5))
+        ]
+        a, b = rng.sample(range(cols - 1), 2)
+        for row in entries:
+            row[-1] = (row[a] + 2 * row[b]) % q
+        rows = lrc._row_basis(lrc.fq_matrix(lrc.PrimeField(q), entries))
+        if len(rows):
+            expected = oracles.lex_first_dependent_columns(entries, q, len(rows) + 1)
+            assert lrc._ColumnSearch(rows, q, len(rows) + 1).hit == expected
 
 
 def test_peak_closed_form_matches_the_sum_over_max_columns():
@@ -537,3 +608,41 @@ def test_construct_lrc_starved_sample():
     # sample near zero at n = 23, so the retries run dry
     with pytest.raises(InsufficientYield):
         lrc.construct_lrc(23, 10, 11, 2, seed=5, max_retries=3, min_expected_edges=1.0)
+
+
+def test_builder_ladder_is_the_freeness_profile():
+    # construct_lrc takes the free side from the builder's certificate:
+    # the ladder of (r + 1, t, t*r) has exactly freeness_profile's rungs
+    # (i, i*r) for 2 <= i <= t, and rung 1 holds for any block
+    for r in range(2, 40):
+        for d in range(11, min(r + 2, 39) + 1):
+            t = (d - 1) // 2
+            spec = lrc.LrcSpec(q=41, r=r, d=d, a_list=(tuple(range(r + 1)),))
+            rungs = [(c.e, c.v) for c in lrc.freeness_profile(spec).constraints]
+            ladder = [(c.e, c.v) for c in freeness.ladder_profile(r + 1, t, t * r).constraints]
+            assert rungs[0] == (1, r) and ladder == rungs[1:]
+
+
+def test_construct_lrc_certifies_each_side_once(monkeypatch):
+    # the free side is the certificate the builder takes on each output it
+    # builds (one per independent_set; seed 0 needs two attempts, seed 1
+    # one), the code side one min_distance in check_optimal
+    calls = dict.fromkeys(["check_profile", "min_distance", "independent_set"], 0)
+
+    def count(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for real in (freeness.check_profile, lrc.min_distance, builder.independent_set):
+        wrapped = count(real.__name__, real)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("sparsehg") and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, wrapped)
+    for seed, attempts in [(0, 2), (1, 1)]:
+        calls.update(dict.fromkeys(calls, 0))
+        spec = lrc.construct_lrc(23, 10, 11, 2, seed=seed)
+        assert calls == {"check_profile": attempts, "min_distance": 1, "independent_set": attempts}
+        assert lrc.check_equivalence(spec).free
