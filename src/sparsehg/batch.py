@@ -31,22 +31,26 @@ def find_sdr(sets: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     such choice exists.
     """
     owner: dict[int, int] = {}  # vertex -> set index currently using it
-
-    def augment(i: int, banned: set[int]) -> bool:
-        for x in sets[i]:
-            if x in banned:
-                continue
-            banned.add(x)
-            if x not in owner or augment(owner[x], banned):
-                owner[x] = i
-                return True
-        return False
-
     for i in range(len(sets)):
-        if not augment(i, set()):
+        if not _augment(sets, owner, i, set()):
             return None
     chosen = {i: x for x, i in owner.items()}
     return tuple(chosen[i] for i in range(len(sets)))
+
+
+def _augment(sets, owner: dict[int, int], i: int, banned: set[int]) -> bool:
+    """Give sets[i] a representative outside `banned`, moving the owners
+    of taken ones along an augmenting path.  Module-level: a closure that
+    calls itself is a reference cycle, which keeps `owner` alive until the
+    cyclic garbage collector runs."""
+    for x in sets[i]:
+        if x in banned:
+            continue
+        banned.add(x)
+        if x not in owner or _augment(sets, owner, owner[x], banned):
+            owner[x] = i
+            return True
+    return False
 
 
 def check_sdr_all(h: Hypergraph, e: int, *, force: bool = False) -> Verdict:

@@ -605,6 +605,10 @@ def _run_attempts(params: ConstructionParams, budget: int) -> ConstructionResult
         aux = build_aux(h1, attempt_params, systems=trace.bad_after)
         keep = independent_set(aux, seed + attempt)
         out = h1.subhypergraph(keep)
+        trace.final_yield = out.m
+        best_yield = max(best_yield, out.m)
+        if out.m < params.min_yield:
+            continue  # thrown away uncertified
         verdict = check_profile(out, profile, budget=budget)
         if not verdict.holds:
             raise CertificationFailed(
@@ -616,10 +620,7 @@ def _run_attempts(params: ConstructionParams, budget: int) -> ConstructionResult
                 raise CertificationFailed(
                     f"certification failed on extra target ({v_j}, {e_j})"
                 )
-        trace.final_yield = out.m
-        best_yield = max(best_yield, out.m)
-        if out.m >= params.min_yield:
-            return ConstructionResult(out, attempt_params, trace, verdict)
+        return ConstructionResult(out, attempt_params, trace, verdict)
     raise RetriesExhausted(
         f"no attempt reached min_yield={params.min_yield} "
         f"after {params.max_retries} retries (best {best_yield})",

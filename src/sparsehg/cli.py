@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -517,9 +518,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
+    """build_parser(), built once per process and again only when `env`,
+    the SPARSEHG_* variables its defaults read, changes: each build costs
+    milliseconds and leaves cyclic garbage."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
+        parser = _parser(tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith(ENV_PREFIX))))
     except SparseHgError as exc:  # bad environment variable
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -224,29 +224,31 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
         acc |= by_top[b]
         closed.append(acc)
     results: list[tuple[int, ...]] = []
-    found = 0
-
-    def rec(p: int, need: int, inside: int):
-        """Pick the next of `need` vertices of V from verts[p:]."""
-        nonlocal found
-        for q in range(p, len(verts) - need + 1):
-            if need > 1:
-                rec(q + 1, need - 1, inside)
-            else:
-                within = inside & closed[q]
-                count = within.bit_count()
-                if count >= size:
-                    found += comb(count, size)
-                    if budget is not None and found > budget:
-                        raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
-                    results.extend(itertools.combinations(_bit_indices(within), size))
-            inside &= ~inc[verts[q]]  # skip verts[q] from here on
-            if inside.bit_count() < size:
-                return
-
-    rec(0, max_span, (1 << len(masks)) - 1)
+    _vertex_sets((verts, closed, inc, size, budget, results), 0, max_span, (1 << len(masks)) - 1, 0)
     results.sort()
     return results
+
+
+def _vertex_sets(walk, p: int, need: int, inside: int, found: int) -> int:
+    """The vertex route's search from one branch: pick the next of `need`
+    vertices of V from verts[p:].  Returns `found`, the systems counted so
+    far, plus those of this branch.  Module-level, like _extend_root."""
+    verts, closed, inc, size, budget, results = walk
+    for q in range(p, len(verts) - need + 1):
+        if need > 1:
+            found = _vertex_sets(walk, q + 1, need - 1, inside, found)
+        else:
+            within = inside & closed[q]
+            count = within.bit_count()
+            if count >= size:
+                found += comb(count, size)
+                if budget is not None and found > budget:
+                    raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
+                results.extend(itertools.combinations(_bit_indices(within), size))
+        inside &= ~inc[verts[q]]  # skip verts[q] from here on
+        if inside.bit_count() < size:
+            break
+    return found
 
 
 def _add_vertices(inc: list[int], level: list[int], vertices: int):
@@ -301,52 +303,8 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
     s_star = _root_threshold(r, size, max_span)
     shares = [sharing(k, s_star) for k in range(m)]
     results: list[tuple[int, ...]] = []
-
-    def lexmin_pair(system: tuple[int, ...]) -> tuple[int, int]:
-        for a, b in itertools.combinations(system, 2):
-            if (masks[a] & masks[b]).bit_count() >= s_star:
-                return (a, b)
-        raise AssertionError("system without a qualifying pair")
-
-    def emit(i: int, j: int, rest: tuple[int, ...]):
-        system = tuple(sorted((i, j) + rest))
-        if lexmin_pair(system) == (i, j):
-            results.append(system)
-            if budget is not None and len(results) > budget:
-                raise BudgetExceeded(
-                    f"span-bounded system count exceeds budget {budget}"
-                )
-
-    def rec(chosen: tuple[int, ...], u: int, span: int, start: int, level: list[int], forbid: int):
-        """Extend root (i, j) plus `chosen`, whose union u spans `span`
-        vertices and meets the edges of level[t] in >= t vertices, by edges
-        from `start` on.  `forbid` holds the edges that would form, with
-        the root or with `chosen`, a qualifying pair sorting before the
-        root; pairs only accumulate down a branch, so none of them could
-        be part of a system emitted under this root."""
-        t = size - 2 - len(chosen)
-        cap = max_span - span
-        if cap >= t * r:
-            # any t further edges fit inside the span budget
-            pool = _bit_indices(everything >> start << start & ~forbid)
-            for combo in itertools.combinations(pool, t):
-                emit(i, j, chosen + combo)
-            return
-        # with cap < r the next edge must reuse at least r - cap spanned
-        # vertices; with cap >= r any edge fits
-        cands = (everything if cap >= r else level[r - cap]) >> start << start
-        for k in _bit_indices(cands & ~forbid):
-            if t == 1:
-                emit(i, j, chosen + (k,))
-                continue
-            new = masks[k] & ~u
-            child = level[:]
-            _add_vertices(inc, child, new)
-            cut = shares[k] if k < i else shares[k] & below_i
-            rec(chosen + (k,), u | new, span + new.bit_count(), k + 1, child, forbid | cut)
-
+    search = (masks, r, size, max_span, budget, everything, inc, s_star, shares, results)
     for i in range(m):
-        below_i = (1 << i) - 1
         for j in _bit_indices(shares[i] >> (i + 1) << (i + 1)):
             u0 = masks[i] | masks[j]
             span0 = u0.bit_count()
@@ -355,11 +313,60 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
             level = [everything] + [0] * r
             _add_vertices(inc, level, u0)
             # the pairs (k, i) and (k, j) sorting before (i, j)
-            forbid = (shares[i] & ((1 << j) - 1)) | (shares[j] & below_i) | (1 << i) | (1 << j)
-            rec((), u0, span0, 0, level, forbid)
-
+            forbid = (shares[i] & ((1 << j) - 1)) | (shares[j] & ((1 << i) - 1)) | (1 << i) | (1 << j)
+            _extend_root(search, i, j, (), u0, span0, 0, level, forbid)
     results.sort()
     return results
+
+
+def _extend_root(
+    search, i: int, j: int, chosen: tuple[int, ...], u: int, span: int, start: int, level: list[int], forbid: int
+):
+    """The pair route's search from one branch: extend root (i, j) plus
+    `chosen`, whose union u spans `span` vertices and meets the edges of
+    level[t] in >= t vertices, by edges from `start` on.  `forbid` holds the
+    edges that would form, with the root or with `chosen`, a qualifying
+    pair sorting before the root; pairs only accumulate down a branch, so
+    none of them could be part of a system emitted under this root.
+    Module-level: a closure that calls itself is a reference cycle, which
+    keeps `results` alive until the cyclic garbage collector runs."""
+    masks, r, size, max_span, budget, everything, inc, s_star, shares, results = search
+    t = size - 2 - len(chosen)
+    cap = max_span - span
+    if cap >= t * r:
+        # any t further edges fit inside the span budget
+        pool = _bit_indices(everything >> start << start & ~forbid)
+        for combo in itertools.combinations(pool, t):
+            _emit_rooted(search, i, j, chosen + combo)
+        return
+    # with cap < r the next edge must reuse at least r - cap spanned
+    # vertices; with cap >= r any edge fits
+    cands = (everything if cap >= r else level[r - cap]) >> start << start
+    for k in _bit_indices(cands & ~forbid):
+        if t == 1:
+            _emit_rooted(search, i, j, chosen + (k,))
+            continue
+        new = masks[k] & ~u
+        child = level[:]
+        _add_vertices(inc, child, new)
+        cut = shares[k] if k < i else shares[k] & ((1 << i) - 1)
+        _extend_root(search, i, j, chosen + (k,), u | new, span + new.bit_count(), k + 1, child, forbid | cut)
+
+
+def _emit_rooted(search, i: int, j: int, rest: tuple[int, ...]):
+    """Record root (i, j) plus `rest` if (i, j) is the system's
+    lexicographically first pair sharing at least s* vertices."""
+    masks, _, _, _, budget, _, _, s_star, _, results = search
+    system = tuple(sorted((i, j) + rest))
+    for pair in itertools.combinations(system, 2):
+        if (masks[pair[0]] & masks[pair[1]]).bit_count() >= s_star:
+            break
+    else:
+        raise AssertionError("system without a qualifying pair")
+    if pair == (i, j):
+        results.append(system)
+        if budget is not None and len(results) > budget:
+            raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
 
 
 def check_free(

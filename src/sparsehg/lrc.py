@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,14 @@ class FqMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """_row_basis(self), read-only: one column walk per matrix gives
+        its rank and the rows min_distance starts from."""
+        basis = _row_basis(self)
+        basis.flags.writeable = False
+        return basis
+
 
 def fq_matrix(field: PrimeField, rows) -> FqMatrix:
     q = field.q
@@ -160,7 +169,7 @@ def _row_basis(m: FqMatrix) -> np.ndarray:
 
 def rank(m: FqMatrix) -> int:
     """Rank over the prime field, by _row_basis."""
-    return len(_row_basis(m))
+    return len(m._basis)
 
 
 def vandermonde(a_list: tuple[int, ...], d: int, field: PrimeField) -> FqMatrix:
@@ -278,9 +287,10 @@ def code_dimension(spec: LrcSpec) -> int:
     return spec.n - rank(parity_check(spec))
 
 
-_FRONTIER_BYTES = 1 << 18
-"""Cap on the bytes of stored search states, whatever the budget; the
-temporaries of one elimination step stay under a third of it."""
+_FRONTIER_BYTES = 1 << 20
+"""Cap on the bytes of stored search states, whatever the budget.  The
+temporaries of one elimination step take what the stored states leave of
+twice the cap.  1 MiB from a measured sweep of 256 KiB to 4 MiB (README)."""
 
 
 def _storage_dtype(q: int):
@@ -316,8 +326,10 @@ class _ColumnSearch:
     before any child is built.  Group c of level j + 1 then takes, from
     every group l < c in order, the columns from c on (all of width
     n - c), and one batched rank-1 update per batch of them extends these
-    states by column c.  States run along the last axis so that numpy's
-    inner loops are long.
+    states by column c.  A batch takes as many states as the stored levels
+    leave room for in twice _FRONTIER_BYTES, so that few, long updates
+    build a level.  States run along the last axis so that numpy's inner
+    loops are long.
 
     A slab whose two largest consecutive levels would pass _FRONTIER_BYTES
     is split by first column, and a single such column by the next one
@@ -436,9 +448,10 @@ class _ColumnSearch:
                 self.peak = max(self.peak, held)
                 # the parents' columns from c on, width n - c each, gathered
                 # in batches of at most step states: four temporaries per
-                # batch, the batch and three in _eliminate
+                # batch, the batch and three in _eliminate, in what the
+                # stored levels leave of twice the cap
                 per_state = np.dtype(self.work).itemsize * max(1, height * (n - c))
-                step = max(1, _FRONTIER_BYTES // (12 * per_state))
+                step = max(1, (2 * _FRONTIER_BYTES - held) // (4 * per_state))
                 batches, batch, filled = [], [], 0
                 for l in keys:
                     x = groups[l][:, c - l - 1 :]
@@ -499,7 +512,7 @@ def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
     n = m.cols
     if n == 0:
         raise NotACode("no columns")
-    rows = _row_basis(m)
+    rows = m._basis
     if not len(rows):
         return 1  # zero matrix: every single column is dependent
     # the first size the budget cannot sweep in full, if any

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -19,6 +20,18 @@ def random_hypergraph(rng, n_max=12, m_max=8, r=3, multi=False):
     n = rng.randint(r, n_max)
     m = rng.randint(1, min(m_max, math.comb(n, r)))
     return canonicalize(random_edges(rng, n, m, r, multi), n, multi=multi, r=r)
+
+
+def cyclic_garbage(call) -> int:
+    """The objects call() leaves that only the cyclic garbage collector
+    frees: reference cycles, such as a closure that refers to itself."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import oracles
-from conftest import random_hypergraph
+from conftest import cyclic_garbage, random_hypergraph
 from sparsehg import (
     BadRange,
     CertificationFailed,
@@ -26,6 +26,16 @@ def test_find_sdr_simple_cases():
     assert find_sdr([{1, 2, 3}, {1, 2, 3}, {1, 2, 3}]) is not None
     assert find_sdr([{1}, {1}]) is None
     assert find_sdr([]) == ()
+
+
+def test_find_sdr_leaves_no_cyclic_garbage():
+    # augmenting paths recurse; a recursive closure would keep each call's
+    # owner map alive until the cyclic collector runs
+    def call():
+        assert find_sdr([(1, 2), (1, 2), (2, 3), (3, 4)]) == (2, 1, 3, 4)
+        assert find_sdr([(1, 2), (1, 2), (1, 2)]) is None
+
+    assert cyclic_garbage(call) == 0
 
 
 def test_find_sdr_valid_and_matches_oracle(rng):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from sparsehg import builder, freeness, lrc, parse_hg
+from sparsehg import builder, cli, freeness, lrc, parse_hg
 from sparsehg.cli import build_parser, main
 
 CYCLE_HG = "7 3 3\n1 2 5\n1 3 7\n2 3 6\n"
@@ -368,6 +368,33 @@ def test_env_bad_value_exits_one(monkeypatch, capsys):
     monkeypatch.setenv("SPARSEHG_SEED", "oops")
     assert main(["verify", "x.hg", "--e", "3", "--v", "6"]) == 1
     assert "bad SPARSEHG_SEED" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_environment(tmp_path, monkeypatch, capsys):
+    # each build costs milliseconds and leaves cyclic garbage, so main
+    # reuses the parser until a SPARSEHG_* value changes; a bad value still
+    # exits 1 on every call
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    (tmp_path / "d.hg").write_text(DISJOINT_HG)
+    argv = ["verify", "d.hg", "--e", "2", "--v", "5"]
+    for _ in range(3):
+        assert main(argv) == 0
+    assert len(builds) == 1
+    assert capsys.readouterr().out.startswith("profile [(2, 5)]: holds")
+    monkeypatch.setenv("SPARSEHG_SEED", "oops")
+    for _ in range(2):
+        assert main(argv) == 1
+        assert "bad SPARSEHG_SEED" in capsys.readouterr().err
+    monkeypatch.delenv("SPARSEHG_SEED")
+    monkeypatch.setenv("SPARSEHG_JSON", "1")
+    for _ in range(2):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+    assert len(builds) == 4
+    cli._parser.cache_clear()
 
 
 def test_env_json_flag(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from conftest import random_hypergraph
+from conftest import cyclic_garbage, random_hypergraph
 from sparsehg import (
     BadRange,
     BudgetExceeded,
@@ -220,6 +220,21 @@ def test_span_bounded_system_routes_on_tight_levels(rng):
         seen.add((h.r, size, "nv == max_span" if h.n == u else "untouched" if support < h.n else "other"))
     assert {(r, size) for r, size, _ in seen} == {(r, size) for r in (2, 3, 4) for size in range(3, 7)}
     assert {"nv == max_span", "untouched"} <= {shape for _, _, shape in seen}
+
+
+def test_kernel_routes_leave_no_cyclic_garbage():
+    # a recursive closure would keep each call's results and bitsets alive
+    # until the cyclic collector runs; max_span 4 is a tight level of these
+    # 3-edges (the vertex route), 5 is not (the pair route)
+    h = canonicalize([list(e) for e in itertools.combinations(range(1, 7), 3)], 6)
+
+    def call():
+        for max_span in (4, 5):
+            assert span_bounded_systems(h.masks, 3, max_span)
+        assert _vertex_route(h.masks, 3, 4) == span_bounded_systems(h.masks, 3, 4)
+        assert _pair_route(h.masks, 3, 5) == span_bounded_systems(h.masks, 3, 5)
+
+    assert cyclic_garbage(call) == 0
 
 
 def test_span_bounded_systems_spans_below_r_are_empty():

@@ -487,7 +487,7 @@ def test_peak_closed_form_matches_the_sum_over_max_columns():
                     assert search._peak(0, rank, f_lo, f_hi) == expected * search.entry_bytes
 
 
-@pytest.mark.parametrize("cap", [1 << 16, 1 << 18])
+@pytest.mark.parametrize("cap", [1 << 16, 1 << 18, lrc._FRONTIER_BYTES])
 def test_distance_search_memory_is_capped(monkeypatch, cap):
     # stored levels and every temporary of the search together stay within
     # twice the frontier cap, plus a fixed allowance for small objects
@@ -500,6 +500,19 @@ def test_distance_search_memory_is_capped(monkeypatch, cap):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * cap + (64 << 10)
+
+
+def test_flagship_search_makes_few_long_eliminations(monkeypatch):
+    # the search is bound by numpy dispatch, not arithmetic, so at the
+    # default cap one [22, 11] search makes few, long batched steps: 651
+    # calls with the column walk's 11.  Batches of a twelfth of the cap
+    # would make 839, and with them the former 256 KiB cap 2,496
+    calls = []
+    real = lrc._eliminate
+    monkeypatch.setattr(lrc, "_eliminate", lambda x, q: calls.append(1) or real(x, q))
+    assert lrc.min_distance(lrc.parity_check(FLAGSHIP)) == 11
+    assert len(calls) <= 700
+
 
 def test_singleton_bound():
     assert lrc.singleton_bound(22, 11, 10) == 11
@@ -624,10 +637,11 @@ def test_builder_ladder_is_the_freeness_profile():
 
 
 def test_construct_lrc_certifies_each_side_once(monkeypatch):
-    # the free side is the certificate the builder takes on each output it
-    # builds (one per independent_set; seed 0 needs two attempts, seed 1
-    # one), the code side one min_distance in check_optimal
-    calls = dict.fromkeys(["check_profile", "min_distance", "independent_set"], 0)
+    # the free side is the certificate the builder takes on the output it
+    # returns, not on attempts below min_yield (one independent_set per
+    # attempt; seed 0 needs two attempts, seed 1 one); the code side is one
+    # column walk, giving k and the distance search's rows, and one search
+    calls = dict.fromkeys(["check_profile", "_row_basis", "min_distance", "independent_set"], 0)
 
     def count(name, real):
         def counted(*args, **kwargs):
@@ -636,7 +650,7 @@ def test_construct_lrc_certifies_each_side_once(monkeypatch):
 
         return counted
 
-    for real in (freeness.check_profile, lrc.min_distance, builder.independent_set):
+    for real in (freeness.check_profile, lrc._row_basis, lrc.min_distance, builder.independent_set):
         wrapped = count(real.__name__, real)
         for module in list(sys.modules.values()):
             if module.__name__.startswith("sparsehg") and getattr(module, real.__name__, None) is real:
@@ -644,5 +658,5 @@ def test_construct_lrc_certifies_each_side_once(monkeypatch):
     for seed, attempts in [(0, 2), (1, 1)]:
         calls.update(dict.fromkeys(calls, 0))
         spec = lrc.construct_lrc(23, 10, 11, 2, seed=seed)
-        assert calls == {"check_profile": attempts, "min_distance": 1, "independent_set": attempts}
+        assert calls == {"check_profile": 1, "_row_basis": 1, "min_distance": 1, "independent_set": attempts}
         assert lrc.check_equivalence(spec).free

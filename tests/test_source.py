@@ -40,3 +40,42 @@ def test_no_unused_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def self_calling_nested_functions(source: str) -> list[str]:
+    """Functions defined inside another function that call themselves by
+    name.  Such a closure refers to itself, a reference cycle that keeps
+    whatever it captures alive until the cyclic garbage collector runs."""
+    found = {}
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == inner.name
+                for node in ast.walk(inner)
+            ):
+                found[inner.lineno] = inner.name
+    return [f"line {line}: {name}" for line, name in sorted(found.items())]
+
+
+def test_self_calling_nested_function_check_sees_the_cases_it_claims():
+    source = (
+        "def top(n):\n    return top(n - 1)\n"
+        "def outer():\n    def rec(k):\n        return rec(k - 1)\n"
+        "    def plain(k):\n        return top(k)\n"
+        "    def deep():\n        def walk():\n            walk()\n"
+        "class C:\n    def method(self):\n        return self.method()\n"
+    )
+    assert self_calling_nested_functions(source) == ["line 4: rec", "line 9: walk"]
+
+
+def test_no_self_calling_nested_functions():
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := self_calling_nested_functions(path.read_text()))
+    }
+    assert found == {}
