@@ -42,7 +42,7 @@ from .freeness import (
     FreenessConstraint,
     Verdict,
     _bit_indices,
-    _later_partners,
+    _partners,
     check_free,
     check_profile,
     ladder_profile,
@@ -78,10 +78,6 @@ class ConstructionParams:
     min_yield: int
     window_a: Fraction
     window_b: Fraction | None
-
-    @property
-    def expected_edges(self) -> float:
-        return self.p * comb(self.n, self.r)
 
 
 @dataclass
@@ -374,7 +370,8 @@ def alter(
         if m < 2 or shared >= r:
             return 0  # no two distinct edges share r vertices
         pairs = removed = 0
-        for k, later in enumerate(_later_partners(masks, shared)):
+        for k, partners in enumerate(_partners(masks, shared)):
+            later = partners >> (k + 1) << (k + 1)
             pairs += later.bit_count()
             if alive[k]:
                 for j in _bit_indices(later):

@@ -34,7 +34,7 @@ from .errors import (
     SparseHgError,
     TooLarge,
 )
-from .hypergraph import Hypergraph, parse_hg, serialize_hg
+from .hypergraph import parse_hg, serialize_hg
 
 ENV_PREFIX = "SPARSEHG_"
 
@@ -82,12 +82,16 @@ def _write_json(path: str, payload: dict):
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _read_hg(path: str) -> Hypergraph:
+def _read_text(path: str) -> str:
+    """The text of an input file; an unreadable or undecodable file is a
+    SparseHgError (exit 1)."""
     try:
         with open(path) as fh:
-            return parse_hg(fh.read())
+            return fh.read()
     except OSError as exc:
         raise SparseHgError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SparseHgError(f"cannot decode {path}: {exc.reason} at byte {exc.start}") from exc
 
 
 def _params_report(params: builder.ConstructionParams) -> dict:
@@ -156,7 +160,7 @@ def run_construct(args) -> int:
 
 
 def run_verify(args) -> int:
-    h = _read_hg(args.file)
+    h = parse_hg(_read_text(args.file))
     if args.berge is not None:
         cycle = freeness.berge_girth(h, args.berge, budget=_budget(args))
         if cycle is None:
@@ -309,7 +313,7 @@ def run_scaling(args) -> int:
 
 
 def run_ipps_verify(args) -> int:
-    h = _read_hg(args.file)
+    h = parse_hg(_read_text(args.file))
     verdict = ipps.check_ipps(h, args.t, force=args.force)
     report = {"schema": 1, **verdict.to_report()}
     lines = ["identifying-parents property holds" if verdict.holds else f"violated: {verdict.witness}"]
@@ -336,7 +340,7 @@ def run_ipps_construct(args) -> int:
 
 
 def run_cbc_verify(args) -> int:
-    h = _read_hg(args.file)
+    h = parse_hg(_read_text(args.file))
     verdict = batch.check_cbc(h, args.e, budget=_budget(args))
     try:
         cross = batch.check_sdr_all(h, args.e)
@@ -387,11 +391,7 @@ def run_lrc_build(args) -> int:
 
 
 def run_lrc_verify(args) -> int:
-    try:
-        with open(args.file) as fh:
-            spec = lrc.LrcSpec.from_json(fh.read())
-    except OSError as exc:
-        raise SparseHgError(f"cannot read {args.file}: {exc.strerror}") from exc
+    spec = lrc.LrcSpec.from_json(_read_text(args.file))
     report_obj = lrc.check_equivalence(spec, budget=_budget(args, lrc.DEFAULT_BUDGET))
     report = {"schema": 1, **report_obj.to_report()}
     holds = report_obj.optimal and report_obj.free

@@ -261,13 +261,15 @@ def _add_vertices(inc: list[int], level: list[int], vertices: int):
             level[t] |= level[t - 1] & ib
 
 
-def _later_partners(masks, shared: int):
-    """For each edge k in order, the edges after k sharing at least `shared`
-    vertices with it, as a bitset over edge indices."""
+def _partners(masks, shared: int):
+    """For each edge k in order, the edges sharing at least `shared`
+    vertices with it (k included), as a bitset over edge indices; callers
+    keep the later ones with `>> (k + 1) << (k + 1)`.  A generator, so a
+    caller can hold one bitset at a time."""
     everything = (1 << len(masks)) - 1
     inc = _incidence(masks)
-    for k, mk in enumerate(masks):
-        level = [everything >> (k + 1) << (k + 1)] + [0] * shared
+    for mk in masks:
+        level = [everything] + [0] * shared
         _add_vertices(inc, level, mk)
         yield level[shared]
 
@@ -282,8 +284,8 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
         # exact threshold: span(a, b) <= max_span iff |a & b| >= 2r - max_span
         pairs = [
             (i, j)
-            for i, later in enumerate(_later_partners(masks, 2 * r - max_span))
-            for j in _bit_indices(later)
+            for i, partners in enumerate(_partners(masks, 2 * r - max_span))
+            for j in _bit_indices(partners >> (i + 1) << (i + 1))
         ]
         if budget is not None and len(pairs) > budget:
             raise BudgetExceeded(f"{len(pairs)} span-bounded pairs exceed budget {budget}")
@@ -293,15 +295,8 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
     # from every edge (see _add_vertices).
     everything = (1 << m) - 1
     inc = _incidence(masks)
-
-    def sharing(k: int, s: int) -> int:
-        """The edges sharing at least s vertices with edge k (k included)."""
-        level = [everything] + [0] * s
-        _add_vertices(inc, level, masks[k])
-        return level[s]
-
     s_star = _root_threshold(r, size, max_span)
-    shares = [sharing(k, s_star) for k in range(m)]
+    shares = list(_partners(masks, s_star))
     results: list[tuple[int, ...]] = []
     search = (masks, r, size, max_span, budget, everything, inc, s_star, shares, results)
     for i in range(m):

@@ -14,7 +14,6 @@ fraction-free elimination step _eliminate.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import sys
@@ -252,14 +251,15 @@ class LrcSpec:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
         try:
-            return LrcSpec(
-                q=int(payload["q"]),
-                r=int(payload["r"]),
-                d=int(payload["d"]),
-                a_list=tuple(tuple(int(x) for x in a) for a in payload["A"]),
-            )
+            q, r, d = payload["q"], payload["r"], payload["d"]
+            a_list = tuple(tuple(a) for a in payload["A"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"missing or malformed field: {exc}") from exc
+        # no string, float or bool is read as an integer
+        bad = [x for x in (q, r, d, *(x for a in a_list for x in a)) if type(x) is not int]
+        if bad:
+            raise ParseError(f"q, r, d and the block entries must be JSON integers, got {json.dumps(bad[0])}")
+        return LrcSpec(q, r, d, a_list)
 
 
 def parity_check(spec: LrcSpec) -> FqMatrix:
@@ -300,15 +300,11 @@ def _storage_dtype(q: int):
     return next(t for t in (np.uint8, np.uint16, np.uint32) if q - 1 <= np.iinfo(t).max)
 
 
-def _comb(n: int, k: int) -> int:
-    return math.comb(n, k) if n >= 0 else 0
-
-
 def _lex_rank(subset: tuple[int, ...], n: int) -> int:
     """0-based rank of a sorted subset among the same-size subsets of
     0..n-1 in lexicographic order."""
     d = len(subset)
-    return math.comb(n, d) - 1 - sum(_comb(n - 1 - a, d - i) for i, a in enumerate(subset))
+    return math.comb(n, d) - 1 - sum(math.comb(n - 1 - a, d - i) for i, a in enumerate(subset))
 
 
 class _ColumnSearch:
@@ -320,22 +316,22 @@ class _ColumnSearch:
     max(S), reduced against span(S): one row fewer per column of S, since
     each elimination drops its pivot row.  A zero column in a state is a
     dependent set one larger.  Level j of a slab holds every independent
-    set P + T with |T| = j and min(T) in the slab's range of first columns,
-    one array (rows, columns, states) per group of equal max(T), states in
-    colex order of T.  Every group of a level is checked for zero columns
-    before any child is built.  Group c of level j + 1 then takes, from
-    every group l < c in order, the columns from c on (all of width
-    n - c), and one batched rank-1 update per batch of them extends these
-    states by column c.  A batch takes as many states as the stored levels
-    leave room for in twice _FRONTIER_BYTES, so that few, long updates
-    build a level.  States run along the last axis so that numpy's inner
-    loops are long.
+    set P + T with |T| = j and min(T) >= lo, one array (rows, columns,
+    states) per group of equal max(T), states in colex order of T.  Every
+    group of a level is checked for zero columns before any child is
+    built, so no set is ever dropped: group c of level j + 1 is every
+    state of the groups l < c in order, C(c - lo, j) of them, and takes
+    from each the columns from c on (all of width n - c).  One batched
+    rank-1 update per batch of them extends these states by column c.  A
+    batch takes as many states as the stored levels leave room for in
+    twice _FRONTIER_BYTES, so that few, long updates build a level.
+    States run along the last axis so that numpy's inner loops are long.
 
-    A slab whose two largest consecutive levels would pass _FRONTIER_BYTES
-    is split by first column, and a single such column by the next one
-    (a longer prefix P).  Slabs run in lex order, each searching only below
-    the best size found so far, so the first set found at the final size
-    is also the lex-first one.
+    A prefix whose sets would not fit in _FRONTIER_BYTES is split by its
+    next column: P + (f,) is searched on its own, and the rest from f + 1
+    on.  Slabs run in lex order, each searching only below the best size
+    found so far, so the first set found at the final size is also the
+    lex-first one.
     """
 
     def __init__(self, rows: np.ndarray, q: int, max_size: int):
@@ -354,7 +350,7 @@ class _ColumnSearch:
         # distance is found without splitting; the full search runs only
         # when that pass finds nothing.
         self.best = max_size + 1
-        while self.best > 2 and self._peak(0, len(state), 0, self.n) > _FRONTIER_BYTES:
+        while self.best > 2 and self._peak(0, len(state), 0) > _FRONTIER_BYTES:
             self.best -= 1
         self._prefix((), state, 0)
         if self.hit is None and self.best <= max_size:
@@ -365,85 +361,66 @@ class _ColumnSearch:
         self.best = len(subset)
         self.hit = subset
 
-    def _peak(self, base: int, rank: int, f_lo: int, f_hi: int) -> int:
+    def _peak(self, base: int, rank: int, lo: int) -> int:
         """Bytes of the two largest consecutive levels a slab stores: prefix
-        length base, rank rows left, first columns in [f_lo, f_hi).  Level
-        0 is the prefix, and the last level searched is never stored.  A
-        state of level j with max(T) = l stores n - 1 - l columns, and
-        summed over T these are C(n - f_lo, j + 1) - C(n - f_hi, j + 1)
-        (hockey stick)."""
-        n = self.n
-        level = [rank * (n - f_lo) * self.entry_bytes]
-        for j in range(1, self.best - 1 - base):
-            columns = _comb(n - f_lo, j + 1) - _comb(n - f_hi, j + 1)
-            level.append(columns * (rank - j) * self.entry_bytes)
+        length base, rank rows left, first columns from lo on.  Level 0 is
+        the prefix, and the last level searched is never stored.  A state
+        of level j with max(T) = l stores n - 1 - l columns, and summed
+        over T these are C(n - lo, j + 1) (hockey stick)."""
+        level = [
+            math.comb(self.n - lo, j + 1) * (rank - j) * self.entry_bytes
+            for j in range(self.best - 1 - base)
+        ]
         level.append(0)
         return max(a + b for a, b in zip(level, level[1:]))
 
     def _prefix(self, prefix: tuple[int, ...], state: np.ndarray, lo: int) -> None:
         """Search prefix + T for every nonempty T with min(T) >= lo, in lex
         order; state holds columns lo.. reduced against span(prefix)."""
-        base, rank, f = len(prefix), state.shape[0], lo
-        while f < self.n and base + 1 < self.best:
-            if self._peak(base, rank, f, f + 1) > _FRONTIER_BYTES:
-                if not (state[:, f - lo] != 0).any():
-                    self._found(prefix + (f,))
-                else:
-                    child = _eliminate(state[:, f - lo :, None].astype(self.work), self.q)
-                    self._prefix(prefix + (f,), child[:, :, 0].astype(self.dtype), f + 1)
-                f += 1
-                continue
-            # the widest slab [f, hi) that fits; peaks grow with hi
-            hi = f + 1 + bisect.bisect_left(
-                range(f + 2, self.n + 1),
-                True,
-                key=lambda end: self._peak(base, rank, f, end) > _FRONTIER_BYTES,
-            )
-            self._slab(prefix, state[:, f - lo :], f, hi)
-            f = hi
+        base, rank = len(prefix), state.shape[0]
+        for f in range(lo, self.n):
+            if base + 1 >= self.best:
+                return
+            if self._peak(base, rank, f) <= _FRONTIER_BYTES:
+                self._slab(prefix, state[:, f - lo :], f)
+                return
+            if not (state[:, f - lo] != 0).any():
+                self._found(prefix + (f,))
+            else:
+                child = _eliminate(state[:, f - lo :, None].astype(self.work), self.q)
+                self._prefix(prefix + (f,), child[:, :, 0].astype(self.dtype), f + 1)
 
-    def _slab(self, prefix, state, f_lo: int, f_hi: int) -> None:
-        """Every prefix + T with min(T) in [f_lo, f_hi), below the best
-        size, level by level; state holds columns f_lo.. reduced against
-        span(prefix).  Groups are keyed by max(T); level 0 is the prefix
-        itself, keyed f_lo - 1."""
+    def _slab(self, prefix, state, lo: int) -> None:
+        """Every prefix + T with min(T) >= lo, below the best size, level
+        by level; state holds columns lo.. reduced against span(prefix).
+        Groups are keyed by max(T); level 0 is the prefix itself, keyed
+        lo - 1."""
         n, base = self.n, len(prefix)
-        groups = {f_lo - 1: state[:, :, None]}
+        groups = {lo - 1: state[:, :, None]}
         held = state.nbytes  # bytes of the stored levels
-        sizes: list[np.ndarray] = []  # sizes[j - 1][l]: states in group l at level j
         j = 0
         while groups and base + j + 1 < self.best:
             # zero columns of the whole level before any child is built:
             # the lex-first dependent set of each group, then of the level
             hits = []
             for l, x in groups.items():
-                width = f_hi - f_lo if j == 0 else x.shape[1]
-                t, idx = np.nonzero(~(x[:, :width] != 0).any(axis=0))
+                t, idx = np.nonzero(~(x != 0).any(axis=0))
                 if len(t):
-                    sets = self._unrank(sizes, l, l + 1 + t, idx)
+                    sets = self._unrank(lo, j, l, l + 1 + t, idx)
                     hits.append(tuple(int(a) for a in sets[np.lexsort(sets.T[::-1])[0]]))
             if hits:
                 self._found(prefix + min(hits))
                 return
             if base + j + 2 == self.best:
                 return  # the last level searched is never stored
-            # group c of level j + 1 is every state of the groups l < c in
-            # order, nxt[c] states
-            nxt = np.zeros(n, np.int64)
-            if j == 0:
-                nxt[f_lo:f_hi] = 1
-                cs = range(f_lo, f_hi)
-            else:
-                nxt[1:] = np.cumsum(sizes[-1])[:-1]
-                cs = range(min(groups) + 1, n)
             height = len(state) - j  # rows of each parent state
             keys = sorted(groups)
             children: dict[int, np.ndarray] = {}
             # descending c, so each parent group is freed after its last child
-            for c in reversed(cs):
+            for c in reversed(range(keys[0] + 1, n)):
                 while keys[-1] >= c:
                     held -= groups.pop(keys.pop()).nbytes
-                child = np.empty((height - 1, n - 1 - c, nxt[c]), self.dtype)
+                child = np.empty((height - 1, n - 1 - c, math.comb(c - lo, j)), self.dtype)
                 held += child.nbytes
                 self.peak = max(self.peak, held)
                 # the parents' columns from c on, width n - c each, gathered
@@ -474,23 +451,24 @@ class _ColumnSearch:
                     at += x.shape[2]
                 children[c] = child
             held -= sum(x.nbytes for x in groups.values())
-            sizes.append(nxt)
             groups = children
             j += 1
 
     @staticmethod
-    def _unrank(sizes, l, cs, idx) -> np.ndarray:
+    def _unrank(lo: int, j: int, l: int, cs, idx) -> np.ndarray:
         """The sets T + {c}, one row each, for states idx of group l at
-        level len(sizes) with zero column c: colex unranking through the
-        group sizes of each level."""
+        level j with zero column c.  T is l plus the (j - 1)-subset of
+        lo..l-1 with colex rank idx: its largest element is lo + b for the
+        largest b with C(b, j - 1) <= idx, and the rest have colex rank
+        idx - C(b, j - 1)."""
         cols = [cs]
-        if sizes:
+        if j:
             cols.append(np.full(len(idx), l))
-            for count in reversed(sizes[:-1]):
-                inclusive = np.cumsum(count)
-                parent = np.searchsorted(inclusive, idx, side="right")
-                idx = idx - (inclusive[parent] - count[parent])
-                cols.append(parent)
+        for i in range(j - 1, 0, -1):
+            ranks = np.array([math.comb(b, i) for b in range(l - lo)])
+            b = np.searchsorted(ranks, idx, side="right") - 1
+            idx = idx - ranks[b]
+            cols.append(lo + b)
         return np.stack(cols[::-1], axis=1)
 
 
@@ -644,6 +622,8 @@ def parse_fqm(text: str) -> FqMatrix:
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", line=1) from exc
     field = PrimeField(q)
+    if n_rows == 0 and n_cols > 0:
+        raise ParseError(f"{n_cols} columns need at least one row", line=1)
     if len(lines) != n_rows + 1:
         raise ParseError(f"expected {n_rows} rows, found {len(lines) - 1}")
     rows = []
@@ -681,7 +661,7 @@ def construct_lrc(
     """
     if d < 11 or r < d - 2:
         raise BadRange(f"need d >= 11 and r >= d - 2, got d={d}, r={r}")
-    field = PrimeField(q)  # validates primality
+    PrimeField(q)  # validates primality
     if target_m < 1:
         raise BadRange(f"need target_m >= 1, got {target_m}")
     if q < r + 2:

@@ -157,8 +157,8 @@ def test_unrank_ascending_matches_unrank_combination():
 
 def test_sample_mean_tracks_expectation():
     params = plan(3, 3, 6, 24)
-    mean_target = params.expected_edges
     count = math.comb(24, 3)
+    mean_target = params.p * count
     sd_of_mean = math.sqrt(count * params.p * (1 - params.p) / 200)
     runs = [sample(dataclasses.replace(params, seed=s)).m for s in range(200)]
     assert abs(statistics.fmean(runs) - mean_target) <= 5 * sd_of_mean

@@ -355,6 +355,22 @@ def test_lrc_verify_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bad.hg", "--e", "3", "--v", "6"],
+        ["cbc", "verify", "bad.hg", "--e", "3"],
+        ["ipps", "verify", "bad.hg", "--t", "2"],
+        ["lrc", "verify", "bad.hg"],
+    ],
+)
+def test_verify_rejects_undecodable_file(tmp_path, capsys, argv):
+    (tmp_path / "bad.hg").write_bytes(b"\xff\xfe")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "cannot decode bad.hg" in err and "Traceback" not in err
+
+
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
     main(["ipps", "construct", "--r", "3", "--t", "3", "--n", "500",
           "--seed", "4", "--out", "flag.hg"])

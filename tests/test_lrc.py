@@ -2,6 +2,7 @@
 and the optimality/freeness cross-check for locally recoverable codes."""
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -181,6 +182,20 @@ def test_spec_json_round_trip():
         lrc.LrcSpec.from_json("{nope")
     with pytest.raises(ParseError):
         lrc.LrcSpec.from_json('{"q": 7, "r": 2, "d": 3}')
+
+
+@pytest.mark.parametrize("value", ['"x"', "23.7", "23.0", "true"])
+@pytest.mark.parametrize("field", ["q", "r", "d", "A"])
+def test_spec_json_takes_only_json_integers(field, value):
+    # int() would raise ValueError on "x", truncate 23.7 and read true as 1
+    payload = json.loads(SMALL.to_json())
+    if field == "A":
+        payload["A"][0][1] = "@"
+    else:
+        payload[field] = "@"
+    text = json.dumps(payload).replace('"@"', value)
+    with pytest.raises(ParseError, match="must be JSON integers"):
+        lrc.LrcSpec.from_json(text)
 
 
 def test_parity_check_structure():
@@ -463,28 +478,38 @@ def test_column_search_never_writes_to_a_stored_state(rng, monkeypatch, cap):
 
 
 def test_peak_closed_form_matches_the_sum_over_max_columns():
-    # _peak counts the columns a level stores as C(n - f_lo, j + 1) -
-    # C(n - f_hi, j + 1); the plain count sums n - 1 - l over the
-    # j-sets T with max(T) = l and min(T) in [f_lo, f_hi)
+    # _peak counts the columns a level stores as C(n - lo, j + 1); the
+    # plain count sums n - 1 - l over the j-sets T with max(T) = l and
+    # min(T) >= lo
     search = lrc._ColumnSearch(np.ones((1, 2), np.int64), 23, 1)
-    comb = lrc._comb
     for n in range(1, 25):
         search.n = n
         rank = n + 1
-        for f_lo in range(n):
-            for f_hi in range(f_lo + 1, n + 1):
-                level = [rank * (n - f_lo)]
-                for j in range(1, n + 1):
-                    columns = sum(
-                        (comb(l - f_lo, j - 1) - comb(l - f_hi, j - 1)) * (n - 1 - l)
-                        for l in range(f_lo, n)
-                    )
-                    level.append(columns * (rank - j))
-                for best in range(2, n + 3):
-                    search.best = best
-                    stored = level[: best - 1] + [0]
-                    expected = max(a + b for a, b in zip(stored, stored[1:]))
-                    assert search._peak(0, rank, f_lo, f_hi) == expected * search.entry_bytes
+        for lo in range(n):
+            level = [rank * (n - lo)]
+            for j in range(1, n + 1):
+                columns = sum(math.comb(l - lo, j - 1) * (n - 1 - l) for l in range(lo, n))
+                level.append(columns * (rank - j))
+            for best in range(2, n + 3):
+                search.best = best
+                stored = level[: best - 1] + [0]
+                expected = max(a + b for a, b in zip(stored, stored[1:]))
+                assert search._peak(0, rank, lo) == expected * search.entry_bytes
+
+
+def test_unrank_reads_colex_order_off_binomials():
+    # group l of level j holds the j-sets T with max(T) = l and min(T) >=
+    # lo, in colex order of T; state idx with zero column c is T + {c}.
+    # Level 0 is the prefix alone, keyed lo - 1
+    for n in range(1, 10):
+        for lo in range(n):
+            for j in range(n - lo + 1):
+                for l in range(lo + j - 1, n) if j else [lo - 1]:
+                    rest = sorted(itertools.combinations(range(lo, l), max(j - 1, 0)), key=lambda t: t[::-1])
+                    expected = [t + (l, n) for t in rest] if j else [(n,)]
+                    idx = np.arange(len(expected))
+                    sets = lrc._ColumnSearch._unrank(lo, j, l, np.full(len(idx), n), idx)
+                    assert [tuple(row) for row in sets.tolist()] == expected
 
 
 @pytest.mark.parametrize("cap", [1 << 16, 1 << 18, lrc._FRONTIER_BYTES])
@@ -504,9 +529,10 @@ def test_distance_search_memory_is_capped(monkeypatch, cap):
 
 def test_flagship_search_makes_few_long_eliminations(monkeypatch):
     # the search is bound by numpy dispatch, not arithmetic, so at the
-    # default cap one [22, 11] search makes few, long batched steps: 651
-    # calls with the column walk's 11.  Batches of a twelfth of the cap
-    # would make 839, and with them the former 256 KiB cap 2,496
+    # default cap one [22, 11] search makes few, long batched steps: 660
+    # calls with the column walk's 11.  Slabs over column ranges made 651;
+    # with them, batches of a twelfth of the cap made 839, and the former
+    # 256 KiB cap 2,496
     calls = []
     real = lrc._eliminate
     monkeypatch.setattr(lrc, "_eliminate", lambda x, q: calls.append(1) or real(x, q))
@@ -594,6 +620,9 @@ def test_fqm_parse_errors():
     with pytest.raises(ParseError) as exc:
         lrc.parse_fqm("1 3 7\n0 7 1\n")
     assert exc.value.line == 2
+    with pytest.raises(ParseError):
+        lrc.parse_fqm("0 5 23\n")  # five columns need at least one row
+    assert lrc.parse_fqm("0 0 23\n").cols == 0
 
 
 def test_construct_lrc_rejects_bad_parameters():

@@ -79,3 +79,52 @@ def test_no_self_calling_nested_functions():
         if (calls := self_calling_nested_functions(path.read_text()))
     }
     assert found == {}
+
+
+
+def unreferenced_functions(defining: dict[str, str], referring: list[str]) -> list[str]:
+    """Functions, methods and properties defined in the `defining` sources
+    (by file name) whose name no source in `referring` reads, as a name, an
+    attribute or an imported name (re-exports).  Dunder methods are called
+    by Python itself.  Names match by spelling alone, so the check errs on
+    the side of passing."""
+    defined = {}
+    for file, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defined.setdefault(node.name, f"{file} line {node.lineno}")
+    read = set()
+    for source in referring:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.asname or node.name)
+    return [f"{where}: {name}" for name, where in defined.items() if name not in read]
+
+
+def test_unreferenced_function_check_sees_the_cases_it_claims():
+    source = (
+        "def used():\n    pass\n"
+        "def dead():\n    pass\n"
+        "class C:\n    def __init__(self):\n        pass\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def method(self):\n        return used()\n"
+    )
+    caller = "from m import C as Alias\nAlias().method()\n"
+    assert unreferenced_functions({"m.py": source}, [source, caller]) == [
+        "m.py line 3: dead",
+        "m.py line 9: size",
+    ]
+
+
+def test_every_function_is_referenced():
+    # every function, method and property of the package is read somewhere
+    # in the package or its tests
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    tests = [path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))]
+    assert unreferenced_functions(sources, [*sources.values(), *tests]) == []
