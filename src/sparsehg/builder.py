@@ -42,6 +42,7 @@ from .freeness import (
     FreenessConstraint,
     Verdict,
     _bit_indices,
+    _incidence,
     _partners,
     check_free,
     check_profile,
@@ -370,7 +371,7 @@ def alter(
         if m < 2 or shared >= r:
             return 0  # no two distinct edges share r vertices
         pairs = removed = 0
-        for k, partners in enumerate(_partners(masks, shared)):
+        for k, partners in enumerate(_partners(_incidence(masks), masks, shared)):
             later = partners >> (k + 1) << (k + 1)
             pairs += later.bit_count()
             if alive[k]:

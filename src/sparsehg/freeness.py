@@ -11,10 +11,10 @@ incidences on at most v vertices make that sum least when spread evenly,
 so by convexity every violating system with r <= v < e*r holds a pair
 sharing at least s* = ceil(least / C(e, 2)) vertices.  Rooting at the
 lexicographically smallest such pair enumerates every system exactly
-once.  A branch that already holds a qualifying pair sorting before its
-root is cut, so a system is rarely built under a root that is not its
-own.  The search keeps its candidate edges, and the edges it cuts, as
-bitsets over edge indices.
+once: the search cuts every edge that would form a qualifying pair
+sorting before its root, and that cut is exact, so each system is built
+under its own root alone and never checked again.  The search keeps its
+candidate edges, and the edges it cuts, as bitsets over edge indices.
 
 The kernel detects repeated edges itself.  When the edges are pairwise
 distinct, e of them span at least the fewest vertices u that e distinct
@@ -224,31 +224,28 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
         acc |= by_top[b]
         closed.append(acc)
     results: list[tuple[int, ...]] = []
-    _vertex_sets((verts, closed, inc, size, budget, results), 0, max_span, (1 << len(masks)) - 1, 0)
+    _vertex_sets((verts, closed, inc, size, budget, results), 0, max_span, (1 << len(masks)) - 1)
     results.sort()
     return results
 
 
-def _vertex_sets(walk, p: int, need: int, inside: int, found: int) -> int:
+def _vertex_sets(walk, p: int, need: int, inside: int):
     """The vertex route's search from one branch: pick the next of `need`
-    vertices of V from verts[p:].  Returns `found`, the systems counted so
-    far, plus those of this branch.  Module-level, like _extend_root."""
+    vertices of V from verts[p:].  Module-level, like _extend_root."""
     verts, closed, inc, size, budget, results = walk
     for q in range(p, len(verts) - need + 1):
         if need > 1:
-            found = _vertex_sets(walk, q + 1, need - 1, inside, found)
+            _vertex_sets(walk, q + 1, need - 1, inside)
         else:
             within = inside & closed[q]
             count = within.bit_count()
             if count >= size:
-                found += comb(count, size)
-                if budget is not None and found > budget:
+                if budget is not None and len(results) + comb(count, size) > budget:
                     raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
                 results.extend(itertools.combinations(_bit_indices(within), size))
         inside &= ~inc[verts[q]]  # skip verts[q] from here on
         if inside.bit_count() < size:
             break
-    return found
 
 
 def _add_vertices(inc: list[int], level: list[int], vertices: int):
@@ -261,13 +258,13 @@ def _add_vertices(inc: list[int], level: list[int], vertices: int):
             level[t] |= level[t - 1] & ib
 
 
-def _partners(masks, shared: int):
+def _partners(inc: list[int], masks, shared: int):
     """For each edge k in order, the edges sharing at least `shared`
-    vertices with it (k included), as a bitset over edge indices; callers
-    keep the later ones with `>> (k + 1) << (k + 1)`.  A generator, so a
-    caller can hold one bitset at a time."""
+    vertices with it (k included), as a bitset over edge indices; `inc`
+    is `_incidence(masks)`.  Callers keep the later ones with
+    `>> (k + 1) << (k + 1)`.  A generator, so a caller can hold one bitset
+    at a time."""
     everything = (1 << len(masks)) - 1
-    inc = _incidence(masks)
     for mk in masks:
         level = [everything] + [0] * shared
         _add_vertices(inc, level, mk)
@@ -284,7 +281,7 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
         # exact threshold: span(a, b) <= max_span iff |a & b| >= 2r - max_span
         pairs = [
             (i, j)
-            for i, partners in enumerate(_partners(masks, 2 * r - max_span))
+            for i, partners in enumerate(_partners(_incidence(masks), masks, 2 * r - max_span))
             for j in _bit_indices(partners >> (i + 1) << (i + 1))
         ]
         if budget is not None and len(pairs) > budget:
@@ -295,10 +292,9 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
     # from every edge (see _add_vertices).
     everything = (1 << m) - 1
     inc = _incidence(masks)
-    s_star = _root_threshold(r, size, max_span)
-    shares = list(_partners(masks, s_star))
+    shares = list(_partners(inc, masks, _root_threshold(r, size, max_span)))
     results: list[tuple[int, ...]] = []
-    search = (masks, r, size, max_span, budget, everything, inc, s_star, shares, results)
+    search = (masks, r, size, max_span, budget, everything, inc, shares, results)
     for i in range(m):
         for j in _bit_indices(shares[i] >> (i + 1) << (i + 1)):
             u0 = masks[i] | masks[j]
@@ -321,47 +317,30 @@ def _extend_root(
     `chosen`, whose union u spans `span` vertices and meets the edges of
     level[t] in >= t vertices, by edges from `start` on.  `forbid` holds the
     edges that would form, with the root or with `chosen`, a qualifying
-    pair sorting before the root; pairs only accumulate down a branch, so
-    none of them could be part of a system emitted under this root.
+    pair sorting before the root.  The cut is exact: a pair sorting before
+    (i, j) either holds i or j, which the root's cut forbids, or joins two
+    chosen edges, the first below i, whose cut forbids the later one, as
+    edges are chosen in ascending order.  So every system built here has
+    (i, j) as its first qualifying pair.
     Module-level: a closure that calls itself is a reference cycle, which
     keeps `results` alive until the cyclic garbage collector runs."""
-    masks, r, size, max_span, budget, everything, inc, s_star, shares, results = search
+    masks, r, size, max_span, budget, everything, inc, shares, results = search
     t = size - 2 - len(chosen)
     cap = max_span - span
-    if cap >= t * r:
-        # any t further edges fit inside the span budget
-        pool = _bit_indices(everything >> start << start & ~forbid)
-        for combo in itertools.combinations(pool, t):
-            _emit_rooted(search, i, j, chosen + combo)
-        return
     # with cap < r the next edge must reuse at least r - cap spanned
     # vertices; with cap >= r any edge fits
     cands = (everything if cap >= r else level[r - cap]) >> start << start
     for k in _bit_indices(cands & ~forbid):
         if t == 1:
-            _emit_rooted(search, i, j, chosen + (k,))
+            results.append(tuple(sorted((i, j) + chosen + (k,))))
+            if budget is not None and len(results) > budget:
+                raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
             continue
         new = masks[k] & ~u
         child = level[:]
         _add_vertices(inc, child, new)
         cut = shares[k] if k < i else shares[k] & ((1 << i) - 1)
         _extend_root(search, i, j, chosen + (k,), u | new, span + new.bit_count(), k + 1, child, forbid | cut)
-
-
-def _emit_rooted(search, i: int, j: int, rest: tuple[int, ...]):
-    """Record root (i, j) plus `rest` if (i, j) is the system's
-    lexicographically first pair sharing at least s* vertices."""
-    masks, _, _, _, budget, _, _, s_star, _, results = search
-    system = tuple(sorted((i, j) + rest))
-    for pair in itertools.combinations(system, 2):
-        if (masks[pair[0]] & masks[pair[1]]).bit_count() >= s_star:
-            break
-    else:
-        raise AssertionError("system without a qualifying pair")
-    if pair == (i, j):
-        results.append(system)
-        if budget is not None and len(results) > budget:
-            raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
 
 
 def check_free(

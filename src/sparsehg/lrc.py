@@ -622,6 +622,8 @@ def parse_fqm(text: str) -> FqMatrix:
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", line=1) from exc
     field = PrimeField(q)
+    if n_rows < 0 or n_cols < 0:
+        raise ParseError(f"negative count in header: {n_rows} rows, {n_cols} columns", line=1)
     if n_rows == 0 and n_cols > 0:
         raise ParseError(f"{n_cols} columns need at least one row", line=1)
     if len(lines) != n_rows + 1:

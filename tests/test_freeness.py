@@ -18,6 +18,7 @@ from sparsehg import (
     canonicalize,
     check_free,
     check_profile,
+    construct,
     deficit_profile,
     extract_berge_cycle,
     ladder_profile,
@@ -182,6 +183,20 @@ def test_span_bounded_systems_differential(rng):
                 _pair_route(h.masks, size, max_span, budget=len(want) - 1)
             budgeted += 1
     assert budgeted >= 100
+    # loose levels of simple graphs, spans up to size*r - 1 on up to size*r
+    # vertices: there any further edges may fit inside the span, and the
+    # search's cut alone keeps each system to its own root
+    loose = 0
+    while loose < 600:
+        r = rng.choice((2, 3, 4))
+        size = rng.randint(4, 6)
+        n = rng.randint(r + 2, size * r)
+        pool = list(itertools.combinations(range(1, n + 1), r))
+        h = canonicalize([list(e) for e in rng.sample(pool, rng.randint(size, min(9, len(pool))))], n, r=r)
+        spans = {c: oracles.span(h.edges, c) for c in itertools.combinations(range(h.m), size)}
+        for max_span in range(r, size * r):
+            assert _pair_route(h.masks, size, max_span) == [c for c, span in spans.items() if span <= max_span]
+            loose += 1
 
 
 def _tight_level(rng):
@@ -391,7 +406,7 @@ def test_explicit_three_cycle():
     h = canonicalize([[1, 2, 5], [2, 3, 6], [1, 3, 7]], 7)
     cycle = berge_girth(h, 4)
     assert cycle is not None and cycle.length == 3
-    validate_berge_cycle(h, cycle)
+    assert validate_berge_cycle(h, cycle)
 
 
 def test_two_disjoint_edges_have_no_cycle():
@@ -403,7 +418,7 @@ def test_two_cycle_is_shared_pair():
     h = canonicalize([[1, 2, 3], [1, 2, 4]], 4)
     cycle = berge_girth(h, 4)
     assert cycle is not None and cycle.length == 2
-    validate_berge_cycle(h, cycle)
+    assert validate_berge_cycle(h, cycle)
 
 
 def test_berge_girth_needs_t_at_least_two():
@@ -419,7 +434,7 @@ def test_girth_matches_literal_search(rng):
         expected = oracles.berge_girth(h.edges, 4)
         assert (None if cycle is None else cycle.length) == expected
         if cycle is not None:
-            validate_berge_cycle(h, cycle)
+            assert validate_berge_cycle(h, cycle)
 
 
 def test_girth_profile_duality(rng):
@@ -433,4 +448,37 @@ def test_extract_cycle_from_violating_system():
     h = canonicalize([[1, 2, 5], [2, 3, 6], [1, 3, 7]], 7)
     cycle = extract_berge_cycle(h, (0, 1, 2))
     assert cycle.length == 3
-    validate_berge_cycle(h, cycle)
+    assert validate_berge_cycle(h, cycle)
+
+
+def test_planted_triangle_is_caught_at_production_size():
+    # the certified (3,3,6) output at n = 256 has 514 edges; plant the
+    # lex-first vertex triple that meets every edge in at most one vertex
+    # (so the (2, 4) rung still holds) and closes a Berge triangle, a
+    # (3, 6) system; for seed 0 that is (1, 2, 4), witness (0, 3, 16)
+    h = construct(3, 3, 6, 256, seed=0).hypergraph
+    for triple in itertools.combinations(range(1, h.n + 1), 3):
+        t = sum(1 << (x - 1) for x in triple)
+        touching = [mk for mk in h.masks if mk & t]
+        if all((mk & t).bit_count() == 1 for mk in touching) and any(
+            (a | b | t).bit_count() <= 6 for a, b in itertools.combinations(touching, 2)
+        ):
+            break
+    planted = canonicalize([*h.edges, triple], h.n)
+    k = planted.edges.index(triple)
+    # the output was free, so every violating triple holds the planted edge
+    others = [i for i in range(planted.m) if i != k]
+    masks = planted.masks
+    witness = min(
+        tuple(sorted((k, a, b)))
+        for a, b in itertools.combinations(others, 2)
+        if (masks[k] | masks[a] | masks[b]).bit_count() <= 6
+    )
+    verdict = check_profile(planted, ladder_profile(3, 3, 6))
+    assert not verdict.holds
+    assert verdict.constraint == FreenessConstraint(3, 6)
+    assert verdict.witness == witness
+    cycle = berge_girth(planted, 3)
+    assert cycle is not None and cycle.length == 3
+    assert sorted(cycle.edges) == list(witness)
+    assert validate_berge_cycle(planted, cycle)

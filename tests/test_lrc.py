@@ -622,6 +622,11 @@ def test_fqm_parse_errors():
     assert exc.value.line == 2
     with pytest.raises(ParseError):
         lrc.parse_fqm("0 5 23\n")  # five columns need at least one row
+    for text in ("0 -3 23\n", "-1 3 23\n"):
+        with pytest.raises(ParseError) as exc:
+            lrc.parse_fqm(text)
+        assert exc.value.line == 1
+        assert "negative" in str(exc.value)
     assert lrc.parse_fqm("0 0 23\n").cols == 0
 
 

@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sparsehg"
@@ -128,3 +131,70 @@ def test_every_function_is_referenced():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     tests = [path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))]
     assert unreferenced_functions(sources, [*sources.values(), *tests]) == []
+
+
+PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def undefined_private_names(sources: dict[str, str], readme: str) -> list[str]:
+    """`_name`s that the README puts in backticks, or that a docstring or
+    comment of the `sources` (by file name) mentions, which no source
+    defines as a function, class, argument, variable or attribute.  Dunder
+    names are Python's own."""
+    defined = set()
+    mentioned = {}
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        texts = [
+            (ast.get_docstring(node), getattr(node, "lineno", 1))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        texts += [
+            (tok.string, tok.start[0])
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+        for text, line in texts:
+            for name in PRIVATE_NAME.findall(text or ""):
+                mentioned.setdefault(name, f"{file} line {line}")
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        for name in PRIVATE_NAME.findall(span):
+            mentioned.setdefault(name, "README.md")
+    return [
+        f"{where}: {name}"
+        for name, where in mentioned.items()
+        if name not in defined and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_undefined_private_name_check_sees_the_cases_it_claims():
+    source = (
+        '"""Uses _helper and _gone."""\n'
+        "_LIMIT = 3\n"
+        "def _helper(_arg):\n"
+        '    """See __init__ and _arg."""\n'
+        "    return _arg  # unlike _stale or level_2\n"
+        "class _Box:\n    def __init__(self):\n        self._slot = 0\n"
+    )
+    readme = "Calls `_helper(_LIMIT)`, `x._slot` and `_missing`; _bare is prose.\n"
+    assert undefined_private_names({"m.py": source}, readme) == [
+        "m.py line 1: _gone",
+        "m.py line 5: _stale",
+        "README.md: _missing",
+    ]
+
+
+def test_docs_name_only_defined_private_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readme = (SRC.parent.parent / "README.md").read_text()
+    assert undefined_private_names(sources, readme) == []
