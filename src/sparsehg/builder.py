@@ -44,6 +44,7 @@ from .freeness import (
     _bit_indices,
     _incidence,
     _partners,
+    _support,
     check_free,
     check_profile,
     ladder_profile,
@@ -281,13 +282,6 @@ def sample(params: ConstructionParams) -> Hypergraph:
     return Hypergraph(n, r, edges, False)
 
 
-def _support(masks) -> int:
-    u = 0
-    for m in masks:
-        u |= m
-    return u.bit_count()
-
-
 def alter(
     h0: Hypergraph, params: ConstructionParams, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[Hypergraph, AlterationTrace]:
@@ -326,20 +320,11 @@ def alter(
     # bad e-systems as original-index tuples in lexicographic order; once a
     # level has indexed them, intact[a] says whether bad[a] is intact and
     # holding[k] lists the positions of the systems holding edge k
-    bad: list[tuple[int, ...]] = []
-    intact: bytearray | None = None
-    holding: defaultdict[int, list[int]] = defaultdict(list)
+    intact = bytearray()
+    holding: dict[int, list[int]] = {}
 
     def alive_indices() -> list[int]:
         return [k for k in range(m) if alive[k]]
-
-    def index(systems: list[tuple[int, ...]]):
-        nonlocal bad, intact, holding
-        bad, intact = systems, bytearray([1]) * len(systems)
-        holding = defaultdict(list)
-        for a, s in enumerate(systems):
-            for k in s:
-                holding[k].append(a)
 
     def remove(k: int):
         alive[k] = False
@@ -384,29 +369,11 @@ def alter(
         return removed
 
     # with v at least the sample's support, every e-subset is bad and stays
-    # so after any deletion (support only shrinks): current_bad lists them
-    # itself, so none are stored
+    # so after any deletion (support only shrinks): level 2 lists those of
+    # the survivors, so the sample's are never listed
     all_bad = v >= _support(masks)
-    if all_bad:
-        trace.w_before = comb(m, e)
-    else:
-        bad = span_bounded_systems(masks, e, v, budget=budget)
-        trace.w_before = len(bad)
-
-    def current_bad() -> list[tuple[int, ...]]:
-        """Bad e-systems of the current hypergraph, as original-index
-        tuples in lexicographic order."""
-        if all_bad:
-            cur = alive_indices()
-            if comb(len(cur), e) > budget:
-                raise BudgetExceeded(
-                    f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad"
-                )
-            return list(itertools.combinations(cur, e))
-        if intact is None:  # the sample's systems, before any index
-            gone = {k for k in range(m) if not alive[k]}
-            return [s for s in bad if gone.isdisjoint(s)]
-        return list(itertools.compress(bad, intact))
+    bad = [] if all_bad else span_bounded_systems(masks, e, v, budget=budget)
+    trace.w_before = comb(m, e) if all_bad else len(bad)
 
     for i in range(2, e):
         thr = i * r - f[i]
@@ -420,10 +387,27 @@ def alter(
         else:
             trace.y_removed[i] = break_each(sub_systems(i, thr))
 
+        # narrow `bad` to the current hypergraph's bad e-systems: from level
+        # 3 on, the previous level's index marks those a removal broke
+        if i > 2:
+            bad = list(itertools.compress(bad, intact))
+        elif all_bad:
+            cur = alive_indices()
+            if comb(len(cur), e) > budget:
+                raise BudgetExceeded(f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad")
+            bad = list(itertools.combinations(cur, e))
+        else:
+            gone = {k for k in range(m) if not alive[k]}
+            bad = [s for s in bad if gone.isdisjoint(s)]
+        intact = bytearray([1]) * len(bad)
+        holding = defaultdict(list)
+        for a, s in enumerate(bad):
+            for k in s:
+                holding[k].append(a)
+
         # entangled pairs of current bad e-systems sharing precisely i
         # edges, visited in lexicographic order of (s1, s2): the partners of
         # s1 are the later positions counted i times over its edges
-        index(current_bad())
         removed_here = 0
         for a, s1 in enumerate(bad):
             if not intact[a]:
@@ -445,7 +429,7 @@ def alter(
         raise Degenerate("alteration removed every edge")
     h1 = h0.subhypergraph(survivors)
     position = {k: a for a, k in enumerate(survivors)}
-    trace.bad_after = tuple(tuple(position[k] for k in s) for s in current_bad())
+    trace.bad_after = tuple(tuple(position[k] for k in s) for s in itertools.compress(bad, intact))
     trace.w_after = len(trace.bad_after)
     return h1, trace
 
@@ -485,8 +469,6 @@ def independent_set(aux: AuxGraph, seed: int) -> tuple[int, ...]:
     graphs).
     """
     nv = aux.num_vertices
-    if nv == 0:
-        return ()
     if not aux.edges:
         return tuple(range(nv))
     member_of: dict[int, list[int]] = {}

@@ -22,7 +22,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import batch, builder, freeness, ipps, lrc
@@ -236,12 +235,14 @@ def run_scaling(args) -> int:
         for n in sorted(set(ladder))
         for trial in range(args.trials)
     ]
+    # both branches keep the (n, trial) order the jobs were built in
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+        # a pool may start all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             cells = list(pool.map(_scaling_cell, jobs))
     else:
         cells = [_scaling_cell(job) for job in jobs]
-    cells.sort(key=lambda c: (c["n"], c["trial"]))
 
     target = Fraction(args.e * args.r - args.v, args.e - 1)
     medians = {}

@@ -132,11 +132,23 @@ def _mask_vertices(mask: int) -> list[int]:
     return [b + 1 for b in _bit_indices(mask)]
 
 
+def _support(masks) -> int:
+    """The number of vertices the edges touch."""
+    u = 0
+    for mk in masks:
+        u |= mk
+    return u.bit_count()
+
+
 def _root_threshold(r: int, size: int, max_span: int) -> int:
     """s*: any `size` r-edges spanning at most max_span vertices, where
     r <= max_span < size*r, hold a pair sharing at least this many (the
     convexity bound of the module docstring).  Since C(d, 2) >= d - 1, it
     is never below the excess bound ceil((size*r - max_span) / C(size, 2)).
+
+    Nor is it below 2r - max_span, so no root pair spans more than max_span:
+    edge j on vertices j*r .. j*r + r - 1 mod max_span has the degrees of
+    `least`, and each of its C(size, 2) pairs shares >= 2r - max_span.
     """
     q, rem = divmod(size * r, max_span)
     least = rem * comb(q + 1, 2) + (max_span - rem) * comb(q, 2)
@@ -166,8 +178,6 @@ def span_bounded_systems(
     r = masks[0].bit_count()
     if max_span < r:
         return []  # no edge fits
-    if size == 1:
-        return [(i,) for i in range(m)]
     simple = len(set(masks)) == m
     if simple:
         u = r
@@ -183,10 +193,7 @@ def span_bounded_systems(
     # the vertex route walks C(support, max_span) vertex sets at most; the
     # pair route roots at up to C(m, 2) pairs (size 2 is a closed form there)
     if simple and size >= 3 and max_span == u:
-        support = 0
-        for mk in masks:
-            support |= mk
-        if comb(support.bit_count(), max_span) <= comb(m, 2):
+        if comb(_support(masks), max_span) <= comb(m, 2):
             return _vertex_route(masks, size, max_span, budget)
     return _pair_route(masks, size, max_span, budget)
 
@@ -298,14 +305,11 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
     for i in range(m):
         for j in _bit_indices(shares[i] >> (i + 1) << (i + 1)):
             u0 = masks[i] | masks[j]
-            span0 = u0.bit_count()
-            if span0 > max_span:
-                continue
             level = [everything] + [0] * r
             _add_vertices(inc, level, u0)
             # the pairs (k, i) and (k, j) sorting before (i, j)
             forbid = (shares[i] & ((1 << j) - 1)) | (shares[j] & ((1 << i) - 1)) | (1 << i) | (1 << j)
-            _extend_root(search, i, j, (), u0, span0, 0, level, forbid)
+            _extend_root(search, i, j, (), u0, u0.bit_count(), 0, level, forbid)
     results.sort()
     return results
 
@@ -496,7 +500,7 @@ def extract_berge_cycle(h: Hypergraph, system: tuple[int, ...]) -> BergeCycle:
         adj[node].sort()
     cycle = _shortest_incidence_cycle(adj, nodes)
     # rotate to the smallest edge node, orient toward the smaller neighbor
-    estart = min(k for k, node in enumerate(cycle) if node[0] == "e")
+    estart = cycle.index(min(node for node in cycle if node[0] == "e"))
     cycle = cycle[estart:] + cycle[:estart]
     if cycle[-1] < cycle[1]:
         cycle = [cycle[0]] + cycle[1:][::-1]

@@ -684,8 +684,10 @@ def construct_lrc(
         width = r + 1
         population = math.comb(q, width)
         compatible = math.comb(q - width, width) + width * math.comb(q - width, r)
+        # at q <= 2r no two blocks are compatible, so only one can survive
         p_compat = compatible / population
-        min_expected_edges = max(8.0, 4.0 * target_m, min(0.7 / p_compat, 0.5 * population))
+        tight = min(0.7 / p_compat, 0.5 * population) if p_compat else 0.0
+        min_expected_edges = max(8.0, 4.0 * target_m, tight)
     try:
         result = construct(
             r + 1,

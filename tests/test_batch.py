@@ -92,6 +92,9 @@ def test_cbc_mirrors_sdr_examples():
     four = canonicalize([[1, 2, 3]] * 4, 3, multi=True)
     assert check_cbc(three, 3).holds == check_sdr_all(three, 3).holds == True
     assert check_cbc(four, 4).holds == check_sdr_all(four, 4).holds == False
+    for check in (check_cbc, check_sdr_all):
+        with pytest.raises(BadRange):
+            check(three, 0)
 
 
 def test_matching_and_span_routes_agree(rng):

@@ -69,6 +69,10 @@ def test_plan_range_errors():
         plan(2, 3, 6, 32)
     with pytest.raises(BadRange):
         plan(3, 3, 6, 2)  # n below the uniformity
+    with pytest.raises(BadRange):
+        plan(3, 3, 6, 64, extra_targets=[(9, 3)])  # v_j above e_j*r - 1
+    with pytest.raises(BadRange):
+        plan(3, 3, 6, 32, max_retries=0)
 
 
 def test_plan_allows_n_at_most_v():
@@ -127,6 +131,8 @@ def test_sample_limits():
     assert full.m == math.comb(6, 3)
     empty = sample(_params_with_p(0.0))
     assert empty.m == 0
+    with pytest.raises(BadRange):  # C(n, r) > 2**62 ranks
+        sample(plan(3, 3, 6, 4_000_000))
 
 
 def test_sample_deterministic_and_seed_sensitive():

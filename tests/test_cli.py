@@ -1,9 +1,14 @@
 """End-to-end command-line runs: exit codes, output files, report shapes,
 environment overrides, and determinism across worker counts."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +45,9 @@ def test_usage_errors_exit_one(capsys):
     assert main(["ipps"]) == 1  # missing subcommand
     assert main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
                  "--extra", "7-4"]) == 1  # want V:E
+    assert main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
+                 "--extra", "7:x"]) == 1
+    assert main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,x"]) == 1
 
 
 def test_construct_writes_three_files(tmp_path, capsys):
@@ -192,11 +200,58 @@ def test_scaling_timings_fill_the_column(tmp_path):
     assert row.split(",")[4] != ""
 
 
-def test_scaling_needs_three_points(capsys):
+def test_scaling_needs_three_points(tmp_path, capsys):
     rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48",
                "--trials", "1", "--out", "s.csv"])
     assert rc == 1
     assert "3 distinct n" in capsys.readouterr().err
+    rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64",
+               "--trials", "0", "--out", "s.csv"])
+    assert rc == 1
+    assert "trials >= 1" in capsys.readouterr().err
+    # C(4000000, 3) is too large for the sampler, so that cell fails and
+    # only two n values yield: the summary row carries no slope
+    rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,4000000",
+               "--trials", "1", "--out", "s.csv", "--json"])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["slope"] is None and set(report["medians"]) == {"32", "48"}
+    lines = (tmp_path / "s.csv").read_bytes().decode().split("\r\n")
+    assert lines[3] == "4000000,0,0,,"
+    assert lines[-2] == "summary,slope=,target=1.500000,residual=,points=2"
+
+
+def test_scaling_pool_never_outnumbers_its_jobs(monkeypatch):
+    # a pool may start every worker at once, so the cap is the job count;
+    # a stand-in executor records it without starting any process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    args = ["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64", "--trials", "1"]
+    assert main(args + ["--jobs", "8"]) == 0
+    assert main(args + ["--jobs", "2"]) == 0
+    assert sizes == [3, 2]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, sparsehg, sparsehg.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_ipps_construct_and_verify(tmp_path, capsys):
@@ -329,6 +384,26 @@ def test_vertex_route_takes_only_tight_levels(monkeypatch):
 def test_lrc_build_counting_bound(capsys):
     assert main(["lrc", "build", "--q", "23", "--r", "10", "--d", "11", "--m", "3"]) == 2
     assert "InsufficientYield" in capsys.readouterr().err
+
+
+def test_lrc_build_writes_a_spec_that_verifies(tmp_path, capsys):
+    rc = main(["lrc", "build", "--q", "23", "--r", "10", "--d", "11", "--m", "2",
+               "--out", "spec.json", "--fqm", "spec.fqm"])
+    assert rc == 0
+    assert "built 2 blocks over F_23, wrote spec.json" in capsys.readouterr().out
+    spec = lrc.LrcSpec.from_json((tmp_path / "spec.json").read_text())
+    assert (spec.q, spec.r, spec.d, spec.m) == (23, 10, 11, 2)
+    assert lrc.parse_fqm((tmp_path / "spec.fqm").read_text()) == lrc.parity_check(spec)
+    assert main(["lrc", "verify", "spec.json", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["optimal"] is True and report["free"] is True
+
+
+def test_lrc_build_at_a_small_field():
+    # q = 19 <= 2r: no two blocks can both survive, and one block suffices
+    assert main(["lrc", "build", "--q", "19", "--r", "10", "--d", "11", "--m", "1",
+                 "--out", "one.json"]) == 0
+    assert main(["lrc", "verify", "one.json"]) == 0
 
 
 def test_lrc_verify(tmp_path, capsys):

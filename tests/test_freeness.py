@@ -8,6 +8,7 @@ import oracles
 from conftest import cyclic_garbage, random_hypergraph
 from sparsehg import (
     BadRange,
+    BergeCycle,
     BudgetExceeded,
     ConstraintProfile,
     FreenessConstraint,
@@ -59,6 +60,9 @@ def test_classification_flags():
     vacuous = check_free(h, FreenessConstraint(2, 6))
     assert not vacuous.holds and "unsatisfiable" in vacuous.flags
     assert vacuous.witness == (0, 1)
+    for e, v in ((0, 3), (2, -1)):
+        with pytest.raises(BadRange):
+            FreenessConstraint(e, v)
 
 
 def test_fewer_edges_than_e_holds():
@@ -135,6 +139,23 @@ def test_span_bounded_systems_tight_spans_match_oracle(rng):
         if got:
             seen.add((size, _root_threshold(r, size, max_span), multi))
     assert seen == {(size, s, multi) for size in (5, 6) for s in (1, 2) for multi in (False, True)}
+
+
+def test_root_threshold_bounds_every_root_pair_span():
+    # s* >= 2r - max_span, so the pair route needs no span test on its
+    # roots: laying the edges cyclically on max_span vertices reaches the
+    # convexity minimum, and every pair of them shares >= 2r - max_span
+    for r in range(1, 30):
+        for size in range(2, 30):
+            for max_span in range(r, size * r):
+                s_star = _root_threshold(r, size, max_span)
+                assert s_star >= 2 * r - max_span, (r, size, max_span)
+                if r < 16 and size < 16:  # all of r, size < 30 take 5 s
+                    arcs = [((1 << r) - 1) << (j * r % max_span) for j in range(size)]
+                    edges = [(a | a >> max_span) & ((1 << max_span) - 1) for a in arcs]
+                    shares = [(a & b).bit_count() for a, b in itertools.combinations(edges, 2)]
+                    assert min(shares) >= 2 * r - max_span
+                    assert s_star == -(-sum(shares) // math.comb(size, 2))
 
 
 def test_root_threshold_holds_on_every_violating_system(rng):
@@ -288,6 +309,10 @@ def test_span_bounded_systems_budget():
     )
     with pytest.raises(BudgetExceeded):
         span_bounded_systems(h.masks, 2, 6, budget=2)
+    # single edges are systems too, budgeted like any other size
+    assert span_bounded_systems(h.masks, 1, 3, budget=10) == [(i,) for i in range(10)]
+    with pytest.raises(BudgetExceeded):
+        span_bounded_systems(h.masks, 1, 3, budget=9)
 
 
 def test_simple_flag_prunes_impossible_spans():
@@ -363,17 +388,23 @@ def test_deficit_profile_values():
     # i with i - q - 1 < 0 is vacuous even for multigraphs and is dropped
     p = deficit_profile(3, 1, 7)
     assert [(c.e, c.v) for c in p.constraints] == [(i, i - 2) for i in range(2, 8)]
+    with pytest.raises(BadRange):
+        deficit_profile(3, -1, 4)
 
 
 def test_berge_profile_values():
     p = berge_profile(3, 4)
     assert [(c.e, c.v) for c in p.constraints] == [(2, 4), (3, 6), (4, 8)]
     assert [(c.e, c.v) for c in berge_profile(3, 3).constraints] == [(2, 4), (3, 6)]
+    with pytest.raises(BadRange):
+        berge_profile(3, 1)
 
 
 def test_profile_distinct_e_enforced():
     with pytest.raises(Exception):
         ConstraintProfile((FreenessConstraint(2, 4), FreenessConstraint(2, 5)))
+    with pytest.raises(BadRange):
+        ConstraintProfile((FreenessConstraint(3, 6), FreenessConstraint(2, 4)))
 
 
 def test_empty_profile_holds():
@@ -407,6 +438,12 @@ def test_explicit_three_cycle():
     cycle = berge_girth(h, 4)
     assert cycle is not None and cycle.length == 3
     assert validate_berge_cycle(h, cycle)
+    for bad in (
+        BergeCycle(2, cycle.vertices, cycle.edges),  # wrong length
+        BergeCycle(3, (1, 2, 1), cycle.edges),  # repeated vertex
+        BergeCycle(3, (1, 2, 3), (0, 1, 2)),  # edge 0 misses vertex 3
+    ):
+        assert not validate_berge_cycle(h, bad)
 
 
 def test_two_disjoint_edges_have_no_cycle():
@@ -448,6 +485,15 @@ def test_extract_cycle_from_violating_system():
     h = canonicalize([[1, 2, 5], [2, 3, 6], [1, 3, 7]], 7)
     cycle = extract_berge_cycle(h, (0, 1, 2))
     assert cycle.length == 3
+    assert validate_berge_cycle(h, cycle)
+
+
+def test_extracted_cycle_starts_at_its_smallest_edge():
+    # the search's first cycle here is edges (4, 2, 3); the witness is
+    # rotated to start at edge 2 and oriented toward the smaller vertex
+    h = canonicalize([[1, 4], [1, 5], [2, 3], [2, 5], [3, 5], [4, 5], [5, 6]], 6)
+    cycle = extract_berge_cycle(h, (0, 1, 2, 3, 4))
+    assert cycle == BergeCycle(3, (2, 5, 3), (2, 3, 4))
     assert validate_berge_cycle(h, cycle)
 
 

@@ -43,6 +43,10 @@ def test_canonicalize_errors():
         canonicalize([[0, 1, 2]], 5)
     with pytest.raises(NonUniform):
         canonicalize([[1, 2, 2]], 5)
+    with pytest.raises(OutOfRange):
+        canonicalize([], 0, r=3)
+    with pytest.raises(NonUniform):
+        canonicalize([], 5)  # no edge to read r from
 
 
 def test_canonicalize_idempotent(rng):
@@ -65,6 +69,8 @@ def test_union_span_bad_index():
         union_span(h, [1])
     with pytest.raises(BadIndex):
         union_span(h, [-1])
+    with pytest.raises(BadIndex):
+        union_span(h, [0, 0])
 
 
 def test_union_span_matches_naive_recount(rng):
@@ -105,6 +111,16 @@ def test_parse_errors_carry_line_numbers():
     assert ei.value.line == 3
     with pytest.raises(ParseError):
         parse_hg("4 2 3\n1 2 3\n")  # declared two edges, got one
+    for text, line in [
+        ("", 1),
+        ("4 x 3\n", 1),
+        ("0 1 3\n1 2 3\n", 1),
+        ("4 1 3\n1 y 3\n", 2),
+        ("4 2 3\n1 2 3\n2 3 5\n", 3),
+    ]:
+        with pytest.raises(ParseError) as ei:
+            parse_hg(text)
+        assert ei.value.line == line, text
 
 
 def test_parse_rejects_noncanonical_order():
@@ -148,6 +164,8 @@ def test_subhypergraph_keeps_invariants():
     sub = h.subhypergraph([2, 0])
     assert sub.edges == ((1, 2, 3), (3, 4, 5))
     assert sub.n == h.n and sub.r == h.r
+    with pytest.raises(BadIndex):
+        h.subhypergraph([0, 3])
 
 
 def test_hypergraph_is_hashable_value():

@@ -68,6 +68,8 @@ def test_link_e_range():
 def test_single_edge_holds():
     h = canonicalize([[1, 2, 3]], 3)
     assert check_ipps(h, 2).holds
+    with pytest.raises(BadRange):
+        check_ipps(h, 1)
 
 
 def test_planted_negative_with_disjoint_covers():

@@ -30,6 +30,10 @@ PRIMES = [2, 3, 5, 7, 11, 23]
 def test_is_prime():
     assert all(lrc.is_prime(q) for q in PRIMES + [10007])
     assert not any(lrc.is_prime(q) for q in [0, 1, 4, 9, 15, 21, 25, 561])
+    # 41**2, and 151 * 751 * 28351 (no factor <= 37, a strong pseudoprime
+    # to bases 2, 3, 5 and 7) pass trial division by the witnesses
+    assert not lrc.is_prime(1681) and not lrc.is_prime(3215031751)
+    assert lrc.is_prime(2**61 - 1)
 
 
 def test_prime_field_rejects_composite():
@@ -607,9 +611,10 @@ def test_fqm_serialization_round_trip():
 def test_fqm_parse_errors():
     with pytest.raises(ParseError):
         lrc.parse_fqm("")
-    with pytest.raises(ParseError) as exc:
-        lrc.parse_fqm("3 6\n")
-    assert exc.value.line == 1
+    for text in ("3 6\n", "3 x 7\n"):
+        with pytest.raises(ParseError) as exc:
+            lrc.parse_fqm(text)
+        assert exc.value.line == 1
     with pytest.raises(ParseError):
         lrc.parse_fqm("1 2 7\n0 1\n0 2\n")  # too many rows
     with pytest.raises(ParseError) as exc:
@@ -655,6 +660,16 @@ def test_construct_lrc_starved_sample():
     # sample near zero at n = 23, so the retries run dry
     with pytest.raises(InsufficientYield):
         lrc.construct_lrc(23, 10, 11, 2, seed=5, max_retries=3, min_expected_edges=1.0)
+
+
+def test_construct_lrc_at_small_fields_builds_one_block():
+    # at q <= 2r no two (r+1)-subsets of F_q meet in at most one point,
+    # so only one block can survive the overlap sweep
+    for q in (13, 17, 19):
+        spec = lrc.construct_lrc(q, 10, 11, 1)
+        assert spec.m == 1 and spec.q == q
+        report = lrc.check_equivalence(spec)
+        assert report.optimal and report.free
 
 
 def test_builder_ladder_is_the_freeness_profile():
