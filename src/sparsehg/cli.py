@@ -400,6 +400,13 @@ def run_lrc_verify(args) -> int:
         f"k={report_obj.k}, bound={report_obj.bound}, distance={report_obj.d_actual}: "
         + ("optimal and span-free" if holds else "not optimal"),
     ]
+    if not holds:
+        witness = []
+        if report_obj.columns is not None:
+            witness.append(f"columns {list(report_obj.columns)} are dependent")
+        if report_obj.blocks is not None:
+            witness.append(f"blocks {list(report_obj.blocks)} span too few points")
+        lines[0] += "; witness: " + ", ".join(witness)
     if not report_obj.agree:
         lines.append("warning: code side and combinatorial side disagree")
     for flag in report_obj.flags:

@@ -131,17 +131,22 @@ def _eliminate(x: np.ndarray, q: int) -> np.ndarray:
     later columns of each state reduced against it, one row fewer.
 
     Row operations keep a state's column dependencies, so x[0] first takes
-    on later rows, in place, until its entry p in column 0 is nonzero; on
-    return x[0] is the pivot row.  Each later row y then becomes
-    p*y - y_0*x[0], p times the usual reduction (scaling keeps the
-    dependencies too, and needs no inverse).  Nothing here copies x.
+    on later rows until its entry p in column 0 is nonzero: row i is added
+    to all of x[0], times 1 in the states whose pivot is still zero and 0
+    in the rest, and reduced mod q in place, so the other states' residues
+    come back unchanged and no state is gathered by a mask (a sum of two
+    residues fits every work dtype).  On return x[0] is the pivot row.
+    Each later row y then becomes p*y - y_0*x[0], p times the usual
+    reduction (scaling keeps the dependencies too, and needs no inverse).
+    Nothing here copies x.
     """
     row0 = x[0]
     for i in range(1, len(x)):
         fix = row0[0] == 0
         if not fix.any():
             break
-        row0[:, fix] = (row0[:, fix] + x[i][:, fix]) % q
+        row0 += x[i] * fix
+        row0 -= row0 // q * q
     e = row0[:1] * x[1:, 1:]
     e -= x[1:, :1] * row0[1:]
     e -= e // q * q  # e %= q, but numpy divides faster than it takes remainders
@@ -322,10 +327,14 @@ class _ColumnSearch:
     built, so no set is ever dropped: group c of level j + 1 is every
     state of the groups l < c in order, C(c - lo, j) of them, and takes
     from each the columns from c on (all of width n - c).  One batched
-    rank-1 update per batch of them extends these states by column c.  A
-    batch takes as many states as the stored levels leave room for in
-    twice _FRONTIER_BYTES, so that few, long updates build a level.
-    States run along the last axis so that numpy's inner loops are long.
+    rank-1 update per batch of them extends these states by column c, for
+    c < n - 1 only: a state of max(T) = n - 1 keeps no column.  A batch
+    takes as many states as the stored levels leave room for in twice
+    _FRONTIER_BYTES, so that few, long updates build a level.  Each batch
+    is tested for a zero column as soon as it is built, so the next level
+    scans only the groups a batch found one in (and the prefix's own
+    level).  States run along the last axis so that numpy's inner loops
+    are long.
 
     A prefix whose sets would not fit in _FRONTIER_BYTES is split by its
     next column: P + (f,) is searched on its own, and the rest from f + 1
@@ -386,7 +395,7 @@ class _ColumnSearch:
                 return
             if not (state[:, f - lo] != 0).any():
                 self._found(prefix + (f,))
-            else:
+            elif f < self.n - 1:  # P + (n - 1,) keeps no column to search
                 child = _eliminate(state[:, f - lo :, None].astype(self.work), self.q)
                 self._prefix(prefix + (f,), child[:, :, 0].astype(self.dtype), f + 1)
 
@@ -397,6 +406,7 @@ class _ColumnSearch:
         lo - 1."""
         n, base = self.n, len(prefix)
         groups = {lo - 1: state[:, :, None]}
+        clear: set[int] = set()  # groups whose batches hold no zero column
         held = state.nbytes  # bytes of the stored levels
         j = 0
         while groups and base + j + 1 < self.best:
@@ -404,6 +414,8 @@ class _ColumnSearch:
             # the lex-first dependent set of each group, then of the level
             hits = []
             for l, x in groups.items():
+                if l in clear:
+                    continue
                 t, idx = np.nonzero(~(x != 0).any(axis=0))
                 if len(t):
                     sets = self._unrank(lo, j, l, l + 1 + t, idx)
@@ -416,17 +428,22 @@ class _ColumnSearch:
             height = len(state) - j  # rows of each parent state
             keys = sorted(groups)
             children: dict[int, np.ndarray] = {}
-            # descending c, so each parent group is freed after its last child
-            for c in reversed(range(keys[0] + 1, n)):
+            clear = set()
+            # descending c, so each parent group is freed after its last
+            # child; no child at c = n - 1, which would keep no column
+            for c in reversed(range(keys[0] + 1, n - 1)):
                 while keys[-1] >= c:
                     held -= groups.pop(keys.pop()).nbytes
                 child = np.empty((height - 1, n - 1 - c, math.comb(c - lo, j)), self.dtype)
                 held += child.nbytes
                 self.peak = max(self.peak, held)
                 # the parents' columns from c on, width n - c each, gathered
-                # in batches of at most step states: four temporaries per
-                # batch, the batch and three in _eliminate, in what the
-                # stored levels leave of twice the cap
+                # in batches of at most step states, in what the stored
+                # levels leave of twice the cap: at most four arrays of a
+                # batch's size live at once, the batch and, in _eliminate,
+                # the child and at most two temporaries.  The pivot fix's
+                # temporaries are one row each, the zero-column test's one
+                # row of booleans
                 per_state = np.dtype(self.work).itemsize * max(1, height * (n - c))
                 step = max(1, (2 * _FRONTIER_BYTES - held) // (4 * per_state))
                 batches, batch, filled = [], [], 0
@@ -443,13 +460,19 @@ class _ColumnSearch:
                             batch, filled = [], 0
                 if batch:
                     batches.append(batch)
-                at = 0
+                at, zero_free = 0, True
                 for batch in batches:
                     # a new array even for one piece: _eliminate overwrites x[0]
                     x = np.concatenate(batch, axis=2, dtype=self.work)
-                    child[:, :, at : at + x.shape[2]] = _eliminate(x, self.q)
+                    e = _eliminate(x, self.q)
+                    # a batch with no rows has every column zero: not clear
+                    zero_free = zero_free and bool(np.logical_or.reduce(e, axis=0).all())
+                    child[:, :, at : at + x.shape[2]] = e
                     at += x.shape[2]
+                    del x, e  # freed before the next batch is gathered
                 children[c] = child
+                if zero_free:
+                    clear.add(c)
             held -= sum(x.nbytes for x in groups.values())
             groups = children
             j += 1
@@ -472,8 +495,21 @@ class _ColumnSearch:
         return np.stack(cols[::-1], axis=1)
 
 
+class _Distance(int):
+    """min_distance's result: the distance, which also names the lex-first
+    smallest dependent set of columns (0-based) it counts, so that
+    check_optimal reports the set without a second search."""
+
+    columns: tuple[int, ...]
+
+    def __new__(cls, columns: tuple[int, ...]):
+        distance = super().__new__(cls, len(columns))
+        distance.columns = columns
+        return distance
+
+
 def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
-    """Smallest number of linearly dependent columns.
+    """Smallest number of linearly dependent columns, as a _Distance.
 
     The search runs level by level (see _ColumnSearch): a zero column is
     a dependent set, and the independent sets of one size are extended
@@ -492,7 +528,7 @@ def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
         raise NotACode("no columns")
     rows = m._basis
     if not len(rows):
-        return 1  # zero matrix: every single column is dependent
+        return _Distance((0,))  # zero matrix: every single column is dependent
     # the first size the budget cannot sweep in full, if any
     swept, over = 0, None
     for size in range(1, n + 1):
@@ -507,7 +543,7 @@ def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
     if hit is not None:
         spent = sum(math.comb(n, s) for s in range(1, len(hit))) + _lex_rank(hit, n) + 1
         if spent <= budget:
-            return len(hit)
+            return _Distance(hit)
     elif over is None:
         raise NotACode("all columns independent: the code is trivial")
     raise BudgetExceeded(
@@ -527,18 +563,26 @@ def check_optimal(spec: LrcSpec, *, budget: int = DEFAULT_BUDGET) -> Verdict:
     The verdict's spanned field carries the actual distance; the witness
     carries (k, bound, d_actual) for reporting.
     """
+    return _check_optimal(spec, budget)[0]
+
+
+def _check_optimal(spec: LrcSpec, budget: int) -> tuple[Verdict, tuple[int, ...]]:
+    """check_optimal's verdict, and the dependent columns whose count is
+    the actual distance."""
     h = parity_check(spec)
     k = spec.n - rank(h)
     if k <= 0:
         raise NotACode(f"dimension {k}; the parity checks leave no message space")
-    d_actual = min_distance(h, budget=budget)
+    distance = min_distance(h, budget=budget)
+    d_actual = int(distance)
     bound = singleton_bound(spec.n, k, spec.r)
-    return Verdict(
+    verdict = Verdict(
         holds=d_actual == bound,
         witness=(k, bound, d_actual),
         spanned=d_actual,
         flags=spec.hypothesis_flags,
     )
+    return verdict, distance.columns
 
 
 def block_hypergraph(spec: LrcSpec) -> Hypergraph:
@@ -558,7 +602,13 @@ def freeness_profile(spec: LrcSpec) -> ConstraintProfile:
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Both sides of the optimality test: the code side (distance meets the
-    bound) and the combinatorial side (blocks span-free at every level)."""
+    bound) and the combinatorial side (blocks span-free at every level).
+
+    A side that fails carries its witness: columns, the lex-first
+    d_actual dependent columns (0-based code coordinates), or blocks, the
+    0-based indices into a_list of check_profile's lex-first blocks that
+    span too few points.
+    """
 
     optimal: bool
     free: bool
@@ -566,13 +616,15 @@ class EquivalenceReport:
     bound: int
     d_actual: int
     flags: tuple[str, ...]
+    columns: tuple[int, ...] | None = None
+    blocks: tuple[int, ...] | None = None
 
     @property
     def agree(self) -> bool:
         return self.optimal == self.free
 
     def to_report(self) -> dict:
-        return {
+        report = {
             "optimal": self.optimal,
             "free": self.free,
             "agree": self.agree,
@@ -581,6 +633,12 @@ class EquivalenceReport:
             "d_actual": self.d_actual,
             "flags": list(self.flags),
         }
+        if not (self.optimal and self.free):
+            report["witness"] = {
+                "columns": None if self.columns is None else list(self.columns),
+                "blocks": None if self.blocks is None else list(self.blocks),
+            }
+        return report
 
 
 def check_equivalence(spec: LrcSpec, *, budget: int = DEFAULT_BUDGET) -> EquivalenceReport:
@@ -589,9 +647,14 @@ def check_equivalence(spec: LrcSpec, *, budget: int = DEFAULT_BUDGET) -> Equival
     Inside the hypotheses d >= 11, r >= d - 2 the two sides must agree;
     outside them the report carries warning flags and makes no claim.
     """
-    optimal = check_optimal(spec, budget=budget)
+    optimal, columns = _check_optimal(spec, budget)
     free = check_profile(block_hypergraph(spec), freeness_profile(spec), budget=budget)
     k, bound, d_actual = optimal.witness
+    blocks = None
+    if not free.holds:
+        # the witness indexes the hypergraph's sorted edges; map back to a_list
+        order = sorted(range(spec.m), key=lambda i: sorted(spec.a_list[i]))
+        blocks = tuple(sorted(order[w] for w in free.witness))
     return EquivalenceReport(
         optimal=optimal.holds,
         free=free.holds,
@@ -599,6 +662,8 @@ def check_equivalence(spec: LrcSpec, *, budget: int = DEFAULT_BUDGET) -> Equival
         bound=bound,
         d_actual=d_actual,
         flags=spec.hypothesis_flags,
+        columns=None if optimal.holds else columns,
+        blocks=blocks,
     )
 
 

@@ -10,6 +10,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 
 def span(edges, indices):
     """Size of the union of the selected edges, by naive set merge."""
@@ -139,6 +141,29 @@ def rank_mod(rows, q):
                 mat[i] = [(a - factor * b) % q for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def eliminate_states(x, q):
+    """The contraction lrc._eliminate makes, one state at a time, in plain
+    loops: x[0] takes on x[1], x[2], ... in turn, mod q, only while its
+    entry in column 0 is zero (a masked update of the states that need
+    it), and each later row y becomes p*y - y_0*x[0] mod q, with p that
+    entry.  x is (rows, columns, states); x[0] is rewritten in place and
+    the later rows come back as a new array of x's dtype."""
+    h, w, states = x.shape
+    out = np.zeros((h - 1, w - 1, states), x.dtype)
+    for s in range(states):
+        row0 = [int(v) for v in x[0, :, s]]
+        for i in range(1, h):
+            if row0[0]:
+                break
+            row0 = [(a + int(b)) % q for a, b in zip(row0, x[i, :, s])]
+        x[0, :, s] = row0
+        for i in range(1, h):
+            y = [int(v) for v in x[i, :, s]]
+            for c in range(1, w):
+                out[i - 1, c - 1, s] = (row0[0] * y[c] - y[0] * row0[c]) % q
+    return out
 
 
 def min_dependent_columns(rows, q, max_size=None):

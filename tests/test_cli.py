@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from sparsehg import builder, cli, freeness, lrc, parse_hg
 from sparsehg.cli import build_parser, main
 
@@ -423,6 +424,31 @@ def test_lrc_verify(tmp_path, capsys):
     assert rc == 4
     report = json.loads(capsys.readouterr().out)
     assert report["d_actual"] == 4 and report["agree"] is True
+
+
+def test_lrc_verify_exit_4_names_its_witness(tmp_path, capsys):
+    # a seeded [22, 11] spec's twin, whose blocks share the points 3 and
+    # 21: four columns are dependent and the two blocks span 20 points
+    twin = {"q": 23, "r": 10, "d": 11, "A": [[1, 2, 3, 5, 8, 9, 10, 11, 12, 16, 21],
+                                              [0, 3, 4, 6, 7, 13, 14, 18, 19, 20, 21]]}
+    (tmp_path / "twin.json").write_text(json.dumps(twin))
+    assert main(["lrc", "verify", "twin.json", "--json"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    columns = report["witness"]["columns"]
+    assert len(columns) == report["d_actual"] == 4
+    entries = lrc.parity_check(lrc.LrcSpec.from_json(json.dumps(twin))).entries
+    assert oracles.rank_mod([[row[c] for c in columns] for row in entries], 23) < len(columns)
+    assert report["witness"]["blocks"] == [0, 1]
+    assert main(["lrc", "verify", "twin.json"]) == 4
+    assert capsys.readouterr().out == (
+        "k=11, bound=11, distance=4: not optimal; witness: columns [2, 10, 12, 21] "
+        "are dependent, blocks [0, 1] span too few points\n"
+    )
+    # a report that holds is unchanged: no witness key
+    spec = {**twin, "A": [twin["A"][0], [0, 3, 4, 6, 7, 13, 14, 17, 18, 19, 20]]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["lrc", "verify", "spec.json", "--json"]) == 0
+    assert "witness" not in json.loads(capsys.readouterr().out)
 
 
 def test_lrc_verify_missing_file(capsys):

@@ -355,6 +355,71 @@ def test_batched_elimination_contracts_the_column_exactly(rng, q):
                     assert oracles.rank_mod(alone, q) == oracles.rank_mod(with_0, q) - 1
 
 
+@pytest.mark.parametrize("q", [2, 181, 46337, 2**31 - 1, 2**61 - 1])
+def test_eliminate_matches_the_masked_loop_reference(rng, q):
+    # the pivot fix adds a later row to all of x[0], times 0 where the
+    # pivot is already nonzero, and reduces in place; child, pivot row and
+    # dtype must equal a state-by-state masked loop's, for every work dtype
+    # (int16, int32, int64, Python integers) and with the first nonzero
+    # pivot entry in any row, so that the fix needs 0 to h - 1 later rows
+    values = [0, 1, q - 2, q - 1]
+    for _ in range(40):
+        h, w, states = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 12)
+        x = np.array(
+            [[[rng.choice(values + [rng.randrange(q)]) for _ in range(states)] for _ in range(w)] for _ in range(h)],
+            dtype=lrc._work_dtype(q),
+        )
+        for s in range(states):
+            k = s % h if s < h else rng.randrange(h)  # rows the fix must add
+            x[:k, 0, s] = 0
+            x[k, 0, s] = rng.choice([1, q - 1, rng.randrange(1, q)])
+        y = x.copy()
+        child = lrc._eliminate(x, q)
+        expected = oracles.eliminate_states(y, q)
+        assert child.dtype == expected.dtype == np.dtype(lrc._work_dtype(q))
+        assert child.shape == expected.shape
+        assert np.array_equal(child, expected)
+        assert np.array_equal(x, y)  # the same pivot rows, later rows untouched
+
+
+@pytest.mark.parametrize("cap", [0, 256, lrc._FRONTIER_BYTES])
+def test_column_search_tests_each_batch_it_builds(rng, monkeypatch, cap):
+    # a group whose batches came out free of zero columns is not scanned
+    # again, so the hit must still be the lex-first dependent set when every
+    # group is clear up to the last level: Vandermonde rows are MDS, every
+    # set of at most rank columns is independent and the first rank + 1
+    # columns are the hit, found only after parents of height 1 are
+    # extended (their batches have no rows, so every column is zero);
+    # square full-rank shapes have no hit, and a planted late dependency
+    # leaves a few groups to scan among clear ones.  No elimination builds
+    # a state of no columns, in a slab or at a prefix split
+    monkeypatch.setattr(lrc, "_FRONTIER_BYTES", cap)
+    shapes = []
+    real = lrc._eliminate
+    monkeypatch.setattr(lrc, "_eliminate", lambda x, q: shapes.append(x.shape) or real(x, q))
+    for i in range(60):
+        q = rng.choice([23, 46337, 2**31 - 1, 2**61 - 1])
+        k = rng.randint(1, 4)
+        points = rng.sample(range(1, q), rng.randint(k, 8) if i % 3 else k)
+        entries = [[pow(a, e, q) for a in points] for e in range(k)]
+        if i % 3 == 2 and len(points) > 2:
+            # the last column a combination of two earlier ones
+            u, v = rng.sample(range(len(points) - 1), 2)
+            c = rng.randrange(1, q)
+            for row in entries:
+                row[-1] = (row[u] + c * row[v]) % q
+        rows = lrc._row_basis(lrc.fq_matrix(lrc.PrimeField(q), entries))
+        assert len(rows) == oracles.rank_mod(entries, q)
+        max_size = len(rows) + 1
+        expected = oracles.lex_first_dependent_columns(entries, q, max_size)
+        if i % 3 == 1:
+            assert expected == (None if len(points) == k else tuple(range(k + 1)))
+        walked = len(shapes)
+        assert lrc._ColumnSearch(rows, q, max_size).hit == expected
+        assert all(width >= 2 for _, width, _ in shapes[walked:])
+    assert 1 in (height for height, _, _ in shapes)
+
+
 @pytest.fixture
 def split_search(monkeypatch):
     """Shrinks the frontier cap so the distance search splits into slabs,
@@ -532,16 +597,20 @@ def test_distance_search_memory_is_capped(monkeypatch, cap):
 
 
 def test_flagship_search_makes_few_long_eliminations(monkeypatch):
-    # the search is bound by numpy dispatch, not arithmetic, so at the
-    # default cap one [22, 11] search makes few, long batched steps: 660
-    # calls with the column walk's 11.  Slabs over column ranges made 651;
-    # with them, batches of a twelfth of the cap made 839, and the former
-    # 256 KiB cap 2,496
-    calls = []
+    # at the default cap one [22, 11] search makes few, long batched steps:
+    # 620 calls with the column walk's 11.  Timed inside one search of 50-61
+    # ms on a 2-vCPU machine, _eliminate took 23-27 ms (its pivot fix 9-11)
+    # and the zero-column tests 5-6 ms; the rest is gathering batches and
+    # numpy dispatch.  No child of c = n - 1 is built, as it keeps no
+    # column, so no call gets a single column.  Slabs over column ranges
+    # made 651; with them, batches of a twelfth of the cap made 839, and
+    # the former 256 KiB cap 2,496
+    widths = []
     real = lrc._eliminate
-    monkeypatch.setattr(lrc, "_eliminate", lambda x, q: calls.append(1) or real(x, q))
+    monkeypatch.setattr(lrc, "_eliminate", lambda x, q: widths.append(x.shape[1]) or real(x, q))
     assert lrc.min_distance(lrc.parity_check(FLAGSHIP)) == 11
-    assert len(calls) <= 700
+    assert len(widths) <= 620
+    assert min(widths) >= 2
 
 
 def test_singleton_bound():
@@ -598,6 +667,27 @@ def test_check_equivalence_planted():
     assert rep.agree
     assert (rep.k, rep.bound, rep.d_actual) == (11, 11, 4)
     assert rep.flags == ()
+
+
+def test_check_equivalence_witnesses_each_failing_side():
+    # the code side names the lex-first smallest dependent columns, the
+    # free side the blocks of a_list (not of the sorted hypergraph) that
+    # span too few points; a side that holds has no witness, and a report
+    # where both hold has no witness key at all
+    rep = lrc.check_equivalence(PLANTED)
+    assert rep.columns == (9, 10, 11, 12) and rep.blocks == (0, 1)
+    assert rep.to_report()["witness"] == {"columns": [9, 10, 11, 12], "blocks": [0, 1]}
+    entries = lrc.parity_check(PLANTED).entries
+    assert oracles.rank_mod([[row[c] for c in rep.columns] for row in entries], 23) < 4
+    # sorted, the blocks are (0,1,2) < (1,2,3) < (2,5,6): the hypergraph's
+    # witness (0, 1) is blocks 2 and 1 of a_list
+    shuffled = lrc.LrcSpec(q=7, r=2, d=5, a_list=((2, 5, 6), (1, 2, 3), (0, 1, 2)))
+    rep = lrc.check_equivalence(shuffled)
+    assert not rep.free and rep.blocks == (1, 2)
+    assert (rep.columns is None) == rep.optimal
+    both = lrc.check_equivalence(FLAGSHIP)
+    assert both.columns is None and both.blocks is None
+    assert "witness" not in both.to_report()
 
 
 def test_fqm_serialization_round_trip():
