@@ -127,11 +127,6 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _mask_vertices(mask: int) -> list[int]:
-    """The vertices of a bitmask (bit v-1 is vertex v), ascending."""
-    return [b + 1 for b in _bit_indices(mask)]
-
-
 def _support(masks) -> int:
     """The number of vertices the edges touch."""
     u = 0
@@ -200,7 +195,7 @@ def span_bounded_systems(
 
 def _incidence(masks) -> list[int]:
     """inc[b]: the edges containing vertex b+1, as a bitset over edge indices."""
-    inc = [0] * max(mk.bit_length() for mk in masks)
+    inc = [0] * max((mk.bit_length() for mk in masks), default=0)
     for k, mk in enumerate(masks):
         for b in _bit_indices(mk):
             inc[b] |= 1 << k
@@ -437,76 +432,86 @@ def berge_profile(r: int, t: int) -> ConstraintProfile:
     return ConstraintProfile(constraints, tag="berge")
 
 
-def _shortest_incidence_cycle(adj: dict, nodes: list) -> list:
-    """Shortest cycle in a small undirected graph, as a node list."""
-    best: list | None = None
-    for root in nodes:
-        depth = {root: 0}
-        parent = {root: None}
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            w = queue[qi]
-            qi += 1
-            if best is not None and depth[w] * 2 + 1 >= len(best):
-                break
-            for u in adj[w]:
-                if u == parent[w]:
-                    continue
-                if u not in depth:
-                    depth[u] = depth[w] + 1
-                    parent[u] = w
-                    queue.append(u)
-                    continue
-                # cross edge: reconstruct the cycle through the BFS tree
-                anc_w = [w]
-                while anc_w[-1] is not None:
-                    anc_w.append(parent[anc_w[-1]])
-                anc_w.pop()
-                anc_set = set(anc_w)
-                path_u = [u]
-                while path_u[-1] not in anc_set:
-                    path_u.append(parent[path_u[-1]])
-                lca = path_u[-1]
-                cycle = anc_w[: anc_w.index(lca) + 1]
-                cycle.reverse()
-                cycle.extend(path_u[:-1])
-                if best is None or len(cycle) < len(best):
-                    best = cycle
+def _trail(links, levels: list[int], node: int, depth: int) -> list[int]:
+    """`node` of levels[depth], then the first node of each lower level
+    that links to the one above: its search path back to the root."""
+    path = [node]
+    for d in range(depth - 1, -1, -1):
+        path.append(_bit_indices(levels[d] & links[(d + 1) & 1][path[-1]])[0])
+    return path
+
+
+def _cycle_from(links, root: int, limit: int, allowance: int | None) -> tuple[list[int] | None, int]:
+    """The first cycle of Berge length <= limit that a breadth-first search
+    from edge `root` closes, as incidence nodes [root, vertex bit, edge,
+    ..., vertex bit], or None; and the edge nodes it expanded, at most
+    `allowance`.  A node that two nodes of the level below reach closes a
+    cycle through the trails of both."""
+    levels = [1 << root]
+    seen = [(2 << root) - 1, 0]  # edges up to the root, vertex bits
+    expanded = 0
+    for depth in range(limit):
+        side = depth & 1  # the level holds edges (0) or vertex bits (1)
+        fresh, reached = ~seen[1 - side], 0
+        for node in _bit_indices(levels[depth]):
+            expanded += 1 - side  # edges count toward the allowance
+            if allowance is not None and expanded > allowance:
+                raise BudgetExceeded("Berge cycle search exceeds its budget of expanded edges")
+            new = links[side][node] & fresh
+            if new & reached:
+                w = _bit_indices(new & reached)[0]
+                return _trail(links, levels, node, depth)[::-1] + _trail(links, levels, w, depth + 1)[:-1], expanded
+            reached |= new
+        if not reached:
+            break
+        seen[1 - side] |= reached
+        levels.append(reached)
+    return None, expanded
+
+
+def _shortest_cycle(masks, t_max: int, budget: int | None) -> BergeCycle | None:
+    """A shortest Berge cycle of length <= t_max among the edges, or None.
+
+    A Berge L-cycle is a cycle of length 2L in the vertex-edge incidence
+    graph: an edge's vertices come off its mask, a vertex's edges off
+    `_incidence`.  It is searched breadth first from each edge in turn,
+    each level in ascending order, keeping to the edges from the root on,
+    where every cycle whose smallest edge is the root lies.
+    A closure at the least length L is a cycle through its root, as a
+    shorter closed walk would hold a shorter cycle, so later roots search
+    only below L and the first root to close an L-cycle is the smallest
+    edge on any shortest cycle.  `budget` caps the edge nodes expanded,
+    summed over roots.
+    """
+    links = (masks, _incidence(masks))  # an edge's vertex bits, a vertex's edge bits
+    best, spent = None, 0
+    for root in range(len(masks)):
+        limit = t_max if best is None else len(best) // 2 - 1
+        if limit < 2:
+            break
+        cycle, expanded = _cycle_from(links, root, limit, None if budget is None else budget - spent)
+        spent += expanded
+        best = cycle or best
     if best is None:
-        raise AssertionError("no cycle in incidence graph")
-    return best
+        return None
+    if best[-1] < best[1]:  # run toward the root's smaller vertex
+        best[1:] = best[:0:-1]
+    return BergeCycle(len(best) // 2, tuple(b + 1 for b in best[1::2]), tuple(best[0::2]))
 
 
 def extract_berge_cycle(h: Hypergraph, system: tuple[int, ...]) -> BergeCycle:
-    """Extract an explicit Berge cycle from edges spanning few vertices.
+    """An explicit Berge cycle among edges spanning few vertices.
 
     If the k edges of `system` span at most k*(r-1) vertices, their
     vertex-edge incidence graph has at least as many links as nodes and so
-    contains a cycle; any such cycle alternates edges and vertices and is
-    exactly a Berge cycle.  Returns the shortest one, deterministically.
+    contains a cycle, which alternates edges and vertices and is exactly a
+    Berge cycle.  Returns the cycle `berge_girth` finds on these edges alone.
     """
-    union = 0
-    for i in system:
-        union |= h.masks[i]
-    nodes: list = [("e", i) for i in sorted(system)]
-    nodes += [("v", x) for x in _mask_vertices(union)]
-    adj: dict = {node: [] for node in nodes}
-    for i in sorted(system):
-        for x in h.edges[i]:
-            adj[("e", i)].append(("v", x))
-            adj[("v", x)].append(("e", i))
-    for node in nodes:
-        adj[node].sort()
-    cycle = _shortest_incidence_cycle(adj, nodes)
-    # rotate to the smallest edge node, orient toward the smaller neighbor
-    estart = cycle.index(min(node for node in cycle if node[0] == "e"))
-    cycle = cycle[estart:] + cycle[:estart]
-    if cycle[-1] < cycle[1]:
-        cycle = [cycle[0]] + cycle[1:][::-1]
-    edge_seq = tuple(node[1] for node in cycle[0::2])
-    vert_seq = tuple(node[1] for node in cycle[1::2])
-    return BergeCycle(len(edge_seq), vert_seq, edge_seq)
+    chosen = sorted(system)
+    cycle = _shortest_cycle([h.masks[i] for i in chosen], len(chosen), None)
+    if cycle is None:
+        raise BadRange(f"edges {tuple(system)} hold no Berge cycle")
+    return BergeCycle(cycle.length, cycle.vertices, tuple(chosen[k] for k in cycle.edges))
 
 
 def validate_berge_cycle(h: Hypergraph, cycle: BergeCycle) -> bool:
@@ -527,21 +532,15 @@ def validate_berge_cycle(h: Hypergraph, cycle: BergeCycle) -> bool:
 
 def berge_girth(h: Hypergraph, t_max: int, *, budget: int | None = None) -> BergeCycle | None:
     """Smallest t <= t_max such that `h` contains a Berge t-cycle, with an
-    explicit witness; None when the girth exceeds t_max.  `budget` caps the
-    systems enumerated at each length, as in `span_bounded_systems`.
+    explicit witness; None when the girth exceeds t_max.  A two-edge Berge
+    cycle means two edges sharing at least two vertices.
 
-    Uses the equivalence with span-freeness: a Berge t-cycle's edges span
-    at most t*(r-1) vertices, and conversely t edges spanning at most
-    t*(r-1) vertices contain a Berge cycle of length <= t.  A two-edge
-    Berge cycle means two edges sharing at least two vertices.
+    A breadth-first search of the vertex-edge incidence graph decides it,
+    apart from the span kernel.  The witness starts at the smallest edge
+    on any shortest cycle and runs toward that edge's smaller vertex on
+    it.  `budget` caps the edge nodes the search expands, summed over its
+    roots; exceeding it raises BudgetExceeded.
     """
     if t_max < 2:
         raise BadRange(f"need t_max >= 2, got {t_max}")
-    for i in range(2, t_max + 1):
-        systems = span_bounded_systems(h.masks, i, i * (h.r - 1), budget=budget)
-        if systems:
-            cycle = extract_berge_cycle(h, systems[0])
-            # scanning i upward means no shorter cycle exists anywhere
-            assert cycle.length == i, "extraction found a shorter cycle than the scan"
-            return cycle
-    return None
+    return _shortest_cycle(h.masks, t_max, budget)

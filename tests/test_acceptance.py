@@ -118,6 +118,10 @@ def test_criterion_4_berge_duality(acc):
         assert (cycle is None) == spans.holds, (h.edges, t)
         if cycle is not None:
             assert freeness.validate_berge_cycle(h, cycle)
+            # the girth is the first failing rung, and the cycle starts at
+            # the smallest edge of the lex-first violating system
+            assert cycle.length == spans.constraint.e, (h.edges, t)
+            assert cycle.edges[0] == spans.witness[0], (h.edges, t)
         checked += 1
     assert "c2" in acc, "needs the criterion 2 construction outputs"
     for path in acc["c2"]:

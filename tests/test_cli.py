@@ -155,12 +155,26 @@ def test_verify_berge(tmp_path, capsys):
 
 
 def test_verify_berge_budget_exit_three(tmp_path, capsys):
-    # the 20 triples on 6 points: 90 pairs share two points (Berge 2-cycles)
+    # the 20 triples on 6 points: the search expands edge 0 alone, whose
+    # vertices lead to edges sharing two of them (a Berge 2-cycle), and no
+    # shorter cycle is left for the other roots to find
     triples = itertools.combinations(range(1, 7), 3)
     (tmp_path / "k6.hg").write_text("6 20 3\n" + "".join(f"{a} {b} {c}\n" for a, b, c in triples))
-    assert main(["verify", "k6.hg", "--berge", "3", "--budget", "89"]) == 3
+    assert main(["verify", "k6.hg", "--berge", "3", "--budget", "0"]) == 3
     assert "BudgetExceeded" in capsys.readouterr().err
-    assert main(["verify", "k6.hg", "--berge", "3", "--budget", "90"]) == 4
+    assert main(["verify", "k6.hg", "--berge", "3", "--budget", "1"]) == 4
+
+
+def test_verify_berge_budget_bounds_a_production_search(tmp_path, capsys):
+    # the certified (3,3,6) output at n = 256, seed 0: a 4-cycle closes at
+    # root 0, then every root searches below length 4; the search expands
+    # 4758 edge nodes in all
+    assert main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "256", "--seed", "0", "--out", "c.hg"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "c.hg", "--berge", "4", "--budget", "4757"]) == 3
+    assert "BudgetExceeded" in capsys.readouterr().err
+    assert main(["verify", "c.hg", "--berge", "4", "--budget", "4758", "--json"]) == 4
+    assert json.loads(capsys.readouterr().out)["girth"] == 4
 
 
 def test_scaling_csv_and_slope(tmp_path, capsys):

@@ -22,6 +22,7 @@ from sparsehg import (
     construct,
     deficit_profile,
     extract_berge_cycle,
+    freeness,
     ladder_profile,
     span_bounded_systems,
     union_span,
@@ -465,8 +466,11 @@ def test_berge_girth_needs_t_at_least_two():
 
 
 def test_girth_matches_literal_search(rng):
-    for _ in range(120):
-        h = random_hypergraph(rng, n_max=10, m_max=6)
+    # simple 3-graphs, then r = 2, 3 and 4 with and without repeated edges
+    # (a repeated edge is a Berge 2-cycle)
+    cases = [(3, False)] * 120 + [(r, multi) for r in (2, 3, 4) for multi in (False, True) for _ in range(40)]
+    for r, multi in cases:
+        h = random_hypergraph(rng, n_max=10, m_max=6, r=r, multi=multi)
         cycle = berge_girth(h, 4)
         expected = oracles.berge_girth(h.edges, 4)
         assert (None if cycle is None else cycle.length) == expected
@@ -477,8 +481,30 @@ def test_girth_matches_literal_search(rng):
 def test_girth_profile_duality(rng):
     for _ in range(150):
         h = random_hypergraph(rng)
-        free = check_profile(h, berge_profile(3, 4)).holds
-        assert free == (berge_girth(h, 4) is None)
+        verdict = check_profile(h, berge_profile(3, 4))
+        cycle = berge_girth(h, 4)
+        assert verdict.holds == (cycle is None)
+        if cycle is not None:
+            # at girth g the lex-first violating g-system is a g-cycle, and
+            # its smallest edge is the smallest edge on any shortest cycle
+            assert cycle.length == verdict.constraint.e
+            assert cycle.edges[0] == verdict.witness[0]
+
+
+def test_berge_search_never_calls_the_span_kernel(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Berge search called span_bounded_systems")
+
+    monkeypatch.setattr(freeness, "span_bounded_systems", refuse)
+    found = 0
+    for _ in range(100):
+        h = random_hypergraph(rng, multi=rng.random() < 0.3)
+        cycle = berge_girth(h, 4)
+        if cycle is not None:
+            assert validate_berge_cycle(h, cycle)
+            assert extract_berge_cycle(h, cycle.edges) == cycle
+            found += 1
+    assert found
 
 
 def test_extract_cycle_from_violating_system():
@@ -526,5 +552,8 @@ def test_planted_triangle_is_caught_at_production_size():
     assert verdict.witness == witness
     cycle = berge_girth(planted, 3)
     assert cycle is not None and cycle.length == 3
-    assert sorted(cycle.edges) == list(witness)
+    # the lex-first violating triple, (0, 3, 16) for seed 0, and the cycle
+    # both start at the smallest edge on any shortest cycle
+    assert cycle.edges[0] == witness[0]
+    assert cycle == BergeCycle(3, (1, 28, 2), (0, 4, 11))
     assert validate_berge_cycle(planted, cycle)
