@@ -67,10 +67,11 @@ def _exit_code(exc: Exception) -> int:
     return 1
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]):
-    """Print either the JSON report or the prepared human lines."""
+def _emit(report: dict, as_json: bool, lines: list[str], *, sort_keys: bool = True):
+    """Print either the JSON report or the prepared human lines.  With
+    sort_keys False the report's keys print in their own order."""
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=sort_keys, indent=2))
     else:
         for line in lines:
             print(line)
@@ -288,13 +289,14 @@ def run_scaling(args) -> int:
     with open(args.out, "w", newline="") as fh:
         fh.write(buf.getvalue())
 
+    # keys in sorted order like every report, but the medians by ascending n
     report = {
+        "csv": args.out,
+        "medians": {str(n): m for n, m in medians.items()},
+        "residual": round(residual, 6) if residual is not None else None,
         "schema": 1,
         "slope": round(slope, 6) if slope is not None else None,
         "target": float(target),
-        "residual": round(residual, 6) if residual is not None else None,
-        "medians": {str(n): m for n, m in medians.items()},
-        "csv": args.out,
     }
     _emit(
         report,
@@ -304,6 +306,7 @@ def run_scaling(args) -> int:
             f"slope {slope:.4f} vs target {float(target):.4f}" if slope is not None else "no fit: fewer than 3 n values with yields",
             f"wrote {args.out}",
         ],
+        sort_keys=False,
     )
     if slope is None:
         return 2

@@ -20,11 +20,12 @@ The kernel detects repeated edges itself.  When the edges are pairwise
 distinct, e of them span at least the fewest vertices u that e distinct
 r-edges can span, so levels below u are empty.  The vertex route serves
 the tight levels v = u of such graphs: every system spans exactly v
-vertices and lies inside exactly one v-set of vertices.  It walks the
-v-sets of the vertices the edges touch, pruned by the edges still inside
-them, and emits every e-subset of the edges inside each.  It takes e >= 3
-only where there are at most C(m, 2) such v-sets, as many as the pair
-route's possible roots.
+vertices and lies inside exactly one v-set of vertices.  It counts the
+edges inside every v-set of the vertices the edges touch at once, by
+colex ranks looked up in tables cached across calls, and emits every
+e-subset of the edges inside each v-set that holds at least e.  It takes
+e >= 3 only where there are at most C(m, 2) such v-sets, as many as the
+pair route's possible roots.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from .errors import BadRange, BudgetExceeded, GcdCondition
 from .hypergraph import Hypergraph
@@ -185,7 +188,7 @@ def span_bounded_systems(
         if budget is not None and total > budget:
             raise BudgetExceeded(f"{total} span-bounded systems exceed budget {budget}")
         return list(itertools.combinations(range(m), size))
-    # the vertex route walks C(support, max_span) vertex sets at most; the
+    # the vertex route counts the edges of C(support, max_span) vertex sets; the
     # pair route roots at up to C(m, 2) pairs (size 2 is a closed form there)
     if simple and size >= 3 and max_span == u:
         if comb(_support(masks), max_span) <= comb(m, 2):
@@ -202,52 +205,108 @@ def _incidence(masks) -> list[int]:
     return inc
 
 
+# Colex-rank tables of the vertex route, by (u, r): the largest support s
+# asked for so far and table[j, V] = the colex rank of the j-th r-subset of
+# the V-th u-subset of range(s), both in colex order.  They depend on
+# nothing else, so every call in the process shares them.  Ranks stay below
+# C(s, r) <= C(s, u)*C(u, r), the table's own size, so int32 holds them
+# wherever the table fits in memory.
+_TABLES: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+_GATHER = 1 << 16  # ranks looked up per slab of the vertex route's count
+
+
+def _colex_table(s: int, u: int, r: int) -> np.ndarray:
+    """The colex ranks of the r-subsets of every u-subset of range(s), as
+    an array of shape (C(u, r), C(s, u)): column V lists the ranks for the
+    V-th u-set.  Grown on demand and cached; a smaller s reads a prefix.
+
+    In colex order the u-sets of range(s) are a prefix of those of
+    range(s + 1), and the u-sets with top vertex t are t joined to the
+    (u - 1)-sets of range(t).  Of such a set's r-subsets, those avoiding t
+    come first in colex order, with the ranks of the order-(u - 1) table;
+    those holding t follow, at C(t, r) plus the (r - 1)-ranks of that set.
+    """
+    if r == 0:
+        return np.zeros((1, comb(s, u)), np.int32)  # the empty set ranks 0
+    if u < r:
+        return np.zeros((0, comb(s, u)), np.int32)
+    have, table = _TABLES.get((u, r), (u - 1, np.empty((comb(u, r), 0), np.int32)))
+    if s <= have:
+        return table[:, : comb(s, u)]
+    avoid = _colex_table(s - 1, u - 1, r)
+    hold = _colex_table(s - 1, u - 1, r - 1)
+    grown = np.empty((comb(u, r), comb(s, u)), np.int32)
+    grown[:, : table.shape[1]] = table
+    k = len(avoid)
+    for t in range(have, s):
+        a, w = comb(t, u), comb(t, u - 1)
+        grown[:k, a : a + w] = avoid[:, :w]
+        grown[k:, a : a + w] = hold[:, :w]
+        grown[k:, a : a + w] += np.int32(comb(t, r))
+    _TABLES[(u, r)] = (s, grown)
+    return grown
+
+
 def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """The systems of a tight level: pairwise-distinct edges, any `size` of
     which span at least max_span vertices, with 3 <= size and
     r <= max_span < size*r.
 
-    Each system then spans exactly max_span vertices, so it lies inside
-    exactly one max_span-set V of the vertices the edges touch, and every
-    `size` edges inside V form a system.  A depth-first search picks V in
-    ascending vertex order, keeping `inside`, the edges that avoid every
-    vertex it skipped, and cuts a branch once fewer than `size` remain.
-    No system is reached twice, so the budget counts C(|E(V)|, size) per V
-    before any tuple is built.
+    Each system then spans exactly max_span = u vertices, so it lies inside
+    exactly one u-set V of the s vertices the edges touch, and every `size`
+    edges inside V form a system.  Numbering those vertices 0..s-1, a slot
+    array maps the colex rank of each edge's vertex tuple to the edge, and
+    the cached `_colex_table` of (s, u, r) gives the ranks of the r-sets of
+    every V, so one lookup counts the edges of each V.  Only the V holding
+    at least `size` edges are expanded.  The budget counts C(|E(V)|, size)
+    per V before any tuple is built.
+
+    Memory: the cache keeps 4 bytes per rank of the order-u table of the
+    largest s asked for, C(s, u)*C(u, r) ranks, and of the lower orders it
+    grew from, which hold fewer when s >= 3u; so there it stays under
+    8*C(s, u)*C(u, r) bytes.  Beside the cache and the systems it returns, a
+    call holds under 2**20 + m*(3*n + 64*r) + 5*C(s, r) + c*C(s, u) +
+    128*C(u, r)*k bytes at once, with n the largest vertex, c the bytes of
+    one count (1 while C(u, r) < 256) and k the V expanded: the edges'
+    vertex bits and ranks, the slot array and its hits, the counts, the
+    lookups, made in slabs of `_GATHER` ranks, and the edges of each V.
     """
-    inc = _incidence(masks)
-    verts = [b for b, ib in enumerate(inc) if ib]
-    # closed[p]: the edges whose vertices all lie in verts[:p + 1]
-    by_top = [0] * len(inc)
-    for k, mk in enumerate(masks):
-        by_top[mk.bit_length() - 1] |= 1 << k
-    closed, acc = [], 0
-    for b in verts:
-        acc |= by_top[b]
-        closed.append(acc)
+    support = 0
+    for mk in masks:
+        support |= mk
+    verts = _bit_indices(support)
+    s, u, m = len(verts), max_span, len(masks)
+    if s < u:
+        return []
+    r = masks[0].bit_count()
+    # each edge's vertices, numbered within the support, ascending
+    width = (support.bit_length() + 7) // 8
+    raw = np.frombuffer(b"".join(mk.to_bytes(width, "little") for mk in masks), np.uint8)
+    bits = np.unpackbits(raw, bitorder="little").reshape(m, -1)[:, verts]
+    local = (np.flatnonzero(bits) % s).reshape(m, r)
+    # colex rank: the sum of C(c, j + 1) over the edge's vertices c, the
+    # j-th from 0 in ascending order
+    ranks = sum(np.array([comb(c, j + 1) for c in range(s)], np.int64)[local[:, j]] for j in range(r))
+    slot = np.full(comb(s, r), -1, np.int32)
+    slot[ranks] = np.arange(m, dtype=np.int32)
+    hits = (slot >= 0).view(np.uint8)
+
+    table = _colex_table(s, u, r)
+    counts = np.empty(table.shape[1], np.min_scalar_type(len(table)))
+    step = max(1, _GATHER // len(table))
+    for a in range(0, len(counts), step):
+        hits.take(table[:, a : a + step]).sum(axis=0, dtype=counts.dtype, out=counts[a : a + step])
+    full = np.flatnonzero(counts >= size)
+    inside = counts[full].tolist()
+    # a level without systems passes any budget, as in `_extend_root`
+    if budget is not None and inside and sum(comb(c, size) for c in inside) > budget:
+        raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
     results: list[tuple[int, ...]] = []
-    _vertex_sets((verts, closed, inc, size, budget, results), 0, max_span, (1 << len(masks)) - 1)
+    # each V's edges ascending, after the -1 slots of its absent r-sets
+    for row, c in zip(np.sort(slot[table[:, full]], axis=0).T.tolist(), inside):
+        results.extend(itertools.combinations(row[len(row) - c :], size))
     results.sort()
     return results
-
-
-def _vertex_sets(walk, p: int, need: int, inside: int):
-    """The vertex route's search from one branch: pick the next of `need`
-    vertices of V from verts[p:].  Module-level, like _extend_root."""
-    verts, closed, inc, size, budget, results = walk
-    for q in range(p, len(verts) - need + 1):
-        if need > 1:
-            _vertex_sets(walk, q + 1, need - 1, inside)
-        else:
-            within = inside & closed[q]
-            count = within.bit_count()
-            if count >= size:
-                if budget is not None and len(results) + comb(count, size) > budget:
-                    raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
-                results.extend(itertools.combinations(_bit_indices(within), size))
-        inside &= ~inc[verts[q]]  # skip verts[q] from here on
-        if inside.bit_count() < size:
-            break
 
 
 def _add_vertices(inc: list[int], level: list[int], vertices: int):

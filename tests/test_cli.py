@@ -183,12 +183,25 @@ def test_scaling_csv_and_slope(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["slope"] == 1.702547
-    assert report["medians"] == {"32": 18.5, "48": 38.0, "64": 60.0}
+    assert list(report["medians"].items()) == [("32", 18.5), ("48", 38.0), ("64", 60.0)]
     text = (tmp_path / "s.csv").read_bytes().decode()
     lines = text.split("\r\n")
     assert lines[0] == "n,trial,seed,yield,runtime_ms"
     assert lines[1] == "32,0,1,18,"  # no --timings: runtime column empty
     assert lines[-2] == "summary,slope=1.702547,target=1.500000,residual=0.000658,points=3"
+
+
+def test_scaling_json_lists_medians_by_ascending_n(tmp_path, capsys):
+    # "16" < "32" < "8" as strings: the medians follow n, the other keys
+    # stay sorted like those of every report
+    rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,8,16",
+               "--trials", "1", "--seed", "1", "--out", "s.csv", "--json"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert list(report["medians"].items()) == [("8", 3), ("16", 8), ("32", 18)]
+    assert list(report) == sorted(report)
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_scaling_deterministic_across_jobs(tmp_path):
@@ -230,7 +243,7 @@ def test_scaling_needs_three_points(tmp_path, capsys):
                "--trials", "1", "--out", "s.csv", "--json"])
     assert rc == 2
     report = json.loads(capsys.readouterr().out)
-    assert report["slope"] is None and set(report["medians"]) == {"32", "48"}
+    assert report["slope"] is None and list(report["medians"]) == ["32", "48"]
     lines = (tmp_path / "s.csv").read_bytes().decode().split("\r\n")
     assert lines[3] == "4000000,0,0,,"
     assert lines[-2] == "summary,slope=,target=1.500000,residual=,points=2"

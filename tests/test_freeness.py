@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -28,7 +30,9 @@ from sparsehg import (
     union_span,
     validate_berge_cycle,
 )
-from sparsehg.freeness import _pair_route, _root_threshold, _vertex_route
+from sparsehg.batch import construct_cbc
+from sparsehg.builder import plan, sample
+from sparsehg.freeness import _colex_table, _pair_route, _root_threshold, _vertex_route
 
 
 # --- single-constraint checks -------------------------------------------
@@ -272,6 +276,81 @@ def test_kernel_routes_leave_no_cyclic_garbage():
         assert _pair_route(h.masks, 3, 5) == span_bounded_systems(h.masks, 3, 5)
 
     assert cyclic_garbage(call) == 0
+
+
+def _colex(sets):
+    """The sets in colex order: by largest element, then the next, ..."""
+    return sorted(sets, key=lambda c: c[::-1])
+
+
+def test_colex_tables_match_brute_force_ranks_as_they_grow(monkeypatch):
+    # a small support first, then a larger one: the cache grows, and the
+    # rows it held before keep their values and lead the grown table
+    monkeypatch.setattr(freeness, "_TABLES", {})
+    for u, r in ((1, 1), (3, 1), (3, 2), (4, 3), (5, 3), (5, 2), (6, 4), (5, 4)):
+        before = _colex_table(u + 2, u, r).copy()
+        for s in (u + 2, u + 5):
+            rank = {c: i for i, c in enumerate(_colex(itertools.combinations(range(s), r)))}
+            want = [[rank[c] for c in _colex(itertools.combinations(v, r))] for v in _colex(itertools.combinations(range(s), u))]
+            table = _colex_table(s, u, r)
+            assert table.dtype == np.int32
+            assert table.T.tolist() == want
+        assert np.array_equal(table[:, : before.shape[1]], before)
+        assert _colex_table(u + 2, u, r).T.tolist() == before.T.tolist()  # a prefix of the grown table
+    assert set(freeness._TABLES) >= {(5, 3), (4, 3), (4, 2), (6, 4)}
+
+
+def test_vertex_route_on_fewer_vertices_than_a_level_spans():
+    # the four triples of {1, 2, 3, 4}: five of them would span 5 vertices
+    h = canonicalize([list(e) for e in itertools.combinations(range(1, 5), 3)], 4)
+    assert _vertex_route(h.masks, 5, 5) == []
+    assert _vertex_route(h.masks, 5, 5, budget=0) == []
+    assert _colex_table(4, 5, 3).shape == (10, 0)
+
+
+def _cbc_inputs(n: int, seeds) -> list:
+    """The (3, 6, 5) samples and cbc outputs of these seeds at n."""
+    return [h for seed in seeds for h in (sample(plan(3, 6, 5, n, seed=seed)), construct_cbc(3, 6, n, seed=seed))]
+
+
+def test_vertex_route_matches_pair_route_at_production_size():
+    # the builder's tight levels (6, 5) and (4, 4) on cbc-e6 samples and
+    # outputs, on vertex sets few enough for the dispatch to pick the route
+    inputs = _cbc_inputs(16, (7, 20, 23, 28, 30, 35, 44, 48)) + _cbc_inputs(20, (0, 1))
+    found = 0
+    for h in inputs:
+        for size, u in ((6, 5), (4, 4)):
+            assert math.comb(len({x for edge in h.edges for x in edge}), u) <= math.comb(h.m, 2)
+            want = _pair_route(h.masks, size, u)
+            assert _vertex_route(h.masks, size, u) == want
+            total = len(want)
+            assert _vertex_route(h.masks, size, u, budget=total) == want
+            if total:
+                with pytest.raises(BudgetExceeded):
+                    _vertex_route(h.masks, size, u, budget=total - 1)
+            found += total
+    assert found > 10_000  # the samples hold systems at both levels
+
+
+def test_vertex_route_memory_stays_within_its_bound(monkeypatch):
+    # the docstring's bounds at the (6, 5) level of a cbc sample at n = 32,
+    # from an empty cache: the tables, and the call's temporaries beside
+    # the tables and the systems it returns
+    h = sample(plan(3, 6, 5, 32, seed=1))
+    s, u, r = len({x for edge in h.edges for x in edge}), 5, 3
+    monkeypatch.setattr(freeness, "_TABLES", {})
+    tracemalloc.start()
+    try:
+        got = _vertex_route(h.masks, 6, u)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s == 32 and len(got) > 10_000
+    cache = sum(table.nbytes for _, table in freeness._TABLES.values())
+    assert (5, 3) in freeness._TABLES and cache <= 8 * math.comb(s, u) * math.comb(u, r)
+    k = len({frozenset(x for i in system for x in h.edges[i]) for system in got})  # the V expanded
+    call = 2**20 + h.m * (3 * h.n + 64 * r) + 5 * math.comb(s, r) + math.comb(s, u) + 128 * math.comb(u, r) * k
+    assert peak - current <= call
 
 
 def test_span_bounded_systems_spans_below_r_are_empty():
