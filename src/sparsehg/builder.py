@@ -371,14 +371,14 @@ def alter(
     # with v at least the sample's support, every e-subset is bad and stays
     # so after any deletion (support only shrinks): level 2 lists those of
     # the survivors, so the sample's are never listed
-    all_bad = v >= _support(masks)
+    all_bad = v >= _support(masks).bit_count()
     bad = [] if all_bad else span_bounded_systems(masks, e, v, budget=budget)
     trace.w_before = comb(m, e) if all_bad else len(bad)
 
     for i in range(2, e):
         thr = i * r - f[i]
         cur = alive_indices()
-        if thr >= _support([masks[k] for k in cur]):
+        if thr >= _support([masks[k] for k in cur]).bit_count():
             # every i-subset violates: keeping the first i-1 edges and
             # removing the rest matches lexicographic processing exactly
             trace.y_removed[i] = break_each((k,) for k in cur[i - 1 :])

@@ -23,7 +23,9 @@ the tight levels v = u of such graphs: every system spans exactly v
 vertices and lies inside exactly one v-set of vertices.  It counts the
 edges inside every v-set of the vertices the edges touch at once, by
 colex ranks looked up in tables cached across calls, and emits every
-e-subset of the edges inside each v-set that holds at least e.  It takes
+e-subset of the edges inside each v-set that holds at least e.  The
+tables share a fixed memory cap; where a table would pass it, the count
+recurses by top vertex to smaller tables instead.  The route takes
 e >= 3 only where there are at most C(m, 2) such v-sets, as many as the
 pair route's possible roots.
 """
@@ -131,11 +133,11 @@ def _bit_indices(mask: int) -> list[int]:
 
 
 def _support(masks) -> int:
-    """The number of vertices the edges touch."""
+    """The vertices the edges touch, as a bitmask."""
     u = 0
     for mk in masks:
         u |= mk
-    return u.bit_count()
+    return u
 
 
 def _root_threshold(r: int, size: int, max_span: int) -> int:
@@ -191,7 +193,7 @@ def span_bounded_systems(
     # the vertex route counts the edges of C(support, max_span) vertex sets; the
     # pair route roots at up to C(m, 2) pairs (size 2 is a closed form there)
     if simple and size >= 3 and max_span == u:
-        if comb(_support(masks), max_span) <= comb(m, 2):
+        if comb(_support(masks).bit_count(), max_span) <= comb(m, 2):
             return _vertex_route(masks, size, max_span, budget)
     return _pair_route(masks, size, max_span, budget)
 
@@ -208,10 +210,12 @@ def _incidence(masks) -> list[int]:
 # Colex-rank tables of the vertex route, by (u, r): the largest support s
 # asked for so far and table[j, V] = the colex rank of the j-th r-subset of
 # the V-th u-subset of range(s), both in colex order.  They depend on
-# nothing else, so every call in the process shares them.  Ranks stay below
-# C(s, r) <= C(s, u)*C(u, r), the table's own size, so int32 holds them
-# wherever the table fits in memory.
+# nothing else, so every call in the process shares them.  The vertex
+# route grows them only while together they hold at most _TABLE_CAP ranks.
+# A table's ranks stay below C(s, r) <= C(s, u)*C(u, r), its own size, so
+# int32 holds them.
 _TABLES: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+_TABLE_CAP = 1 << 22  # ranks all cached tables hold together: 16 MiB
 _GATHER = 1 << 16  # ranks looked up per slab of the vertex route's count
 
 
@@ -247,6 +251,66 @@ def _colex_table(s: int, u: int, r: int) -> np.ndarray:
     return grown
 
 
+def _table_fits(s: int, u: int, r: int) -> bool:
+    """Whether the cache stays within _TABLE_CAP ranks once it holds the
+    table of (s, u, r) and the tables (s - d, u - d, r - j), 0 <= j <= d,
+    that `_colex_table` grows it from."""
+    if s <= _TABLES.get((u, r), (0,))[0]:
+        return True  # cached already
+    ranks = {key: table.size for key, (_, table) in _TABLES.items()}
+    for d in range(u + 1):
+        for j in range(d + 1):
+            if 1 <= r - j <= u - d:
+                key = (u - d, r - j)
+                ranks[key] = max(ranks.get(key, 0), comb(s - d, u - d) * comb(u - d, r - j))
+    return sum(ranks.values()) <= _TABLE_CAP
+
+
+def _count_blocks(hits: np.ndarray, s: int, u: int, r: int):
+    """Yield (a, c) in turn, where c[i] counts the r-sets marked in `hits`
+    inside the (a + i)-th u-subset of range(s) in colex order; hits[i] is
+    1 iff the i-th r-subset of range(s) in colex order is marked.
+
+    A table that fits in the cache gives the counts in slabs of `_GATHER`
+    ranks.  Otherwise the u-sets come by top vertex t, by the recurrence
+    of `_colex_table`: those of t count the marks of their (u - 1)-set W,
+    read off the counts of the (u - 1)-sets of range(s - 1), plus those of
+    t's link, the marked r-sets holding t less t, inside W."""
+    dtype = np.min_scalar_type(comb(u, r))
+    if r == 0 or u < r or s < u:
+        yield 0, np.full(comb(s, u), hits[0] if r == 0 else 0, dtype)
+    elif _table_fits(s, u, r):
+        table = _colex_table(s, u, r)
+        step = max(1, _GATHER // len(table))
+        for a in range(0, table.shape[1], step):
+            yield a, hits.take(table[:, a : a + step]).sum(axis=0, dtype=dtype)
+    else:
+        low = _counts(hits, s - 1, u - 1, r)
+        for t in range(u - 1, s):
+            link = _counts(hits[comb(t, r) : comb(t + 1, r)], t, u - 1, r - 1)
+            yield comb(t, u), np.add(low[: len(link)], link, dtype=dtype)
+
+
+def _counts(hits: np.ndarray, s: int, u: int, r: int) -> np.ndarray:
+    """The counts of `_count_blocks`, joined."""
+    return np.concatenate([c for _, c in _count_blocks(hits, s, u, r)])
+
+
+def _subset_ranks(sets: np.ndarray, s: int, u: int, r: int) -> np.ndarray:
+    """ranks[i, j]: the colex rank of the j-th r-subset of the sets[i]-th
+    u-subset of range(s), both in colex order; the rows of
+    `_colex_table(s, u, r)` at columns `sets`, without the table.  The
+    top vertex of a u-set of colex rank x is the largest c with
+    C(c, u) <= x, and the rest has rank x - C(c, u)."""
+    binom = np.array([[comb(c, j) for j in range(u + 1)] for c in range(s)], np.int64)
+    vs = np.empty((len(sets), u), np.int64)
+    for j in range(u, 0, -1):
+        vs[:, j - 1] = np.searchsorted(binom[:, j], sets, side="right") - 1
+        sets = sets - binom[vs[:, j - 1], j]
+    subsets = np.array(sorted(itertools.combinations(range(u), r), key=lambda c: c[::-1])).T  # colex
+    return sum(binom[vs[:, subsets[j]], j + 1] for j in range(r))
+
+
 def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """The systems of a tight level: pairwise-distinct edges, any `size` of
     which span at least max_span vertices, with 3 <= size and
@@ -254,26 +318,28 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
 
     Each system then spans exactly max_span = u vertices, so it lies inside
     exactly one u-set V of the s vertices the edges touch, and every `size`
-    edges inside V form a system.  Numbering those vertices 0..s-1, a slot
-    array maps the colex rank of each edge's vertex tuple to the edge, and
-    the cached `_colex_table` of (s, u, r) gives the ranks of the r-sets of
-    every V, so one lookup counts the edges of each V.  Only the V holding
-    at least `size` edges are expanded.  The budget counts C(|E(V)|, size)
-    per V before any tuple is built.
+    edges inside V form a system.  Numbering those vertices 0..s-1, each
+    edge is keyed by the colex rank of its vertex tuple, and
+    `_count_blocks` counts the edges of every V, one lookup per r-subset of
+    V.  Only the V holding at least `size` edges are expanded: the ranks
+    of their r-subsets, read off the cached table or, where it does not
+    fit, computed by `_subset_ranks`, are mapped to edges by a slot array.
+    The budget counts C(|E(V)|, size) per V before any tuple is built.
 
-    Memory: the cache keeps 4 bytes per rank of the order-u table of the
-    largest s asked for, C(s, u)*C(u, r) ranks, and of the lower orders it
-    grew from, which hold fewer when s >= 3u; so there it stays under
-    8*C(s, u)*C(u, r) bytes.  Beside the cache and the systems it returns, a
-    call holds under 2**20 + m*(3*n + 64*r) + 5*C(s, r) + c*C(s, u) +
+    Memory: the cache holds at most _TABLE_CAP ranks, 16 MiB, whatever the
+    input; growing a table briefly holds its old copy too, so under 32 MiB.
+    A table that would not fit is never built: the count then recurses by
+    top vertex, down to tables that fit or to no table at all.
+    Beside the cache and the systems it returns, a call holds under
+    2**20 + m*(3*n + 64*r) + 5*C(s, r) + 4*c*C(s - 1, u - 1) +
     128*C(u, r)*k bytes at once, with n the largest vertex, c the bytes of
     one count (1 while C(u, r) < 256) and k the V expanded: the edges'
-    vertex bits and ranks, the slot array and its hits, the counts, the
-    lookups, made in slabs of `_GATHER` ranks, and the edges of each V.
+    vertex bits and ranks, the slot array and its marks, the counts of the
+    (u - 1)-sets of range(s - 1) and one top vertex's block when the
+    table does not fit, and one slab of lookups when it does, and the
+    vertices, ranks and edges of each V expanded.
     """
-    support = 0
-    for mk in masks:
-        support |= mk
+    support = _support(masks)
     verts = _bit_indices(support)
     s, u, m = len(verts), max_span, len(masks)
     if s < u:
@@ -289,21 +355,24 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
     ranks = sum(np.array([comb(c, j + 1) for c in range(s)], np.int64)[local[:, j]] for j in range(r))
     slot = np.full(comb(s, r), -1, np.int32)
     slot[ranks] = np.arange(m, dtype=np.int32)
-    hits = (slot >= 0).view(np.uint8)
 
-    table = _colex_table(s, u, r)
-    counts = np.empty(table.shape[1], np.min_scalar_type(len(table)))
-    step = max(1, _GATHER // len(table))
-    for a in range(0, len(counts), step):
-        hits.take(table[:, a : a + step]).sum(axis=0, dtype=counts.dtype, out=counts[a : a + step])
-    full = np.flatnonzero(counts >= size)
-    inside = counts[full].tolist()
+    full, inside = [], []
+    for a, counts in _count_blocks((slot >= 0).view(np.uint8), s, u, r):
+        keep = np.flatnonzero(counts >= size)
+        full.append(a + keep)
+        inside.append(counts[keep])
+    full = np.concatenate(full)
+    inside = np.concatenate(inside).tolist()
     # a level without systems passes any budget, as in `_extend_root`
     if budget is not None and inside and sum(comb(c, size) for c in inside) > budget:
         raise BudgetExceeded(f"span-bounded system count exceeds budget {budget}")
+    if s <= _TABLES.get((u, r), (0,))[0]:
+        sets = _TABLES[(u, r)][1][:, full].T  # the table the count read
+    else:
+        sets = _subset_ranks(full, s, u, r)
     results: list[tuple[int, ...]] = []
     # each V's edges ascending, after the -1 slots of its absent r-sets
-    for row, c in zip(np.sort(slot[table[:, full]], axis=0).T.tolist(), inside):
+    for row, c in zip(np.sort(slot[sets], axis=1).tolist(), inside):
         results.extend(itertools.combinations(row[len(row) - c :], size))
     results.sort()
     return results

@@ -32,7 +32,7 @@ from sparsehg import (
 )
 from sparsehg.batch import construct_cbc
 from sparsehg.builder import plan, sample
-from sparsehg.freeness import _colex_table, _pair_route, _root_threshold, _vertex_route
+from sparsehg.freeness import _colex_table, _pair_route, _root_threshold, _subset_ranks, _vertex_route
 
 
 # --- single-constraint checks -------------------------------------------
@@ -295,6 +295,7 @@ def test_colex_tables_match_brute_force_ranks_as_they_grow(monkeypatch):
             table = _colex_table(s, u, r)
             assert table.dtype == np.int32
             assert table.T.tolist() == want
+            assert _subset_ranks(np.arange(len(want)), s, u, r).tolist() == want  # the same, by unranking
         assert np.array_equal(table[:, : before.shape[1]], before)
         assert _colex_table(u + 2, u, r).T.tolist() == before.T.tolist()  # a prefix of the grown table
     assert set(freeness._TABLES) >= {(5, 3), (4, 3), (4, 2), (6, 4)}
@@ -332,11 +333,13 @@ def test_vertex_route_matches_pair_route_at_production_size():
     assert found > 10_000  # the samples hold systems at both levels
 
 
-def test_vertex_route_memory_stays_within_its_bound(monkeypatch):
-    # the docstring's bounds at the (6, 5) level of a cbc sample at n = 32,
-    # from an empty cache: the tables, and the call's temporaries beside
-    # the tables and the systems it returns
-    h = sample(plan(3, 6, 5, 32, seed=1))
+@pytest.mark.parametrize("n", [32, 48])
+def test_vertex_route_memory_stays_within_its_bound(monkeypatch, n):
+    # the docstring's bounds at the (6, 5) level of cbc samples, from an
+    # empty cache: the tables, and the call's temporaries beside the
+    # tables and the systems it returns.  At n = 32 the order-5 table fits
+    # in the cache; at n = 48 it would take 68 MiB, and is never built
+    h = sample(plan(3, 6, 5, n, seed=1))
     s, u, r = len({x for edge in h.edges for x in edge}), 5, 3
     monkeypatch.setattr(freeness, "_TABLES", {})
     tracemalloc.start()
@@ -345,12 +348,35 @@ def test_vertex_route_memory_stays_within_its_bound(monkeypatch):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s == 32 and len(got) > 10_000
+    assert s == n and len(got) > 10_000
+    assert math.comb(s, u) <= math.comb(h.m, 2)  # the dispatch takes the route
     cache = sum(table.nbytes for _, table in freeness._TABLES.values())
-    assert (5, 3) in freeness._TABLES and cache <= 8 * math.comb(s, u) * math.comb(u, r)
+    assert cache <= 4 * freeness._TABLE_CAP == 16 * 2**20
+    assert ((5, 3) in freeness._TABLES) == (n == 32)
     k = len({frozenset(x for i in system for x in h.edges[i]) for system in got})  # the V expanded
-    call = 2**20 + h.m * (3 * h.n + 64 * r) + 5 * math.comb(s, r) + math.comb(s, u) + 128 * math.comb(u, r) * k
+    call = 2**20 + h.m * (3 * h.n + 64 * r) + 5 * math.comb(s, r) + 4 * math.comb(s - 1, u - 1) + 128 * math.comb(u, r) * k
     assert peak - current <= call
+
+
+@pytest.mark.parametrize("cap", [0, 1, 60, 2000])
+def test_vertex_route_recurses_where_its_tables_do_not_fit(monkeypatch, rng, cap):
+    # with little or no room in the cache, the count recurses by top vertex
+    # and the expanded sets are unranked, with the same systems and budget
+    # rule; the tables never pass the cap
+    monkeypatch.setattr(freeness, "_TABLES", {})
+    monkeypatch.setattr(freeness, "_TABLE_CAP", cap)
+    levels = [_tight_level(rng) for _ in range(60)]
+    inputs = [(h.masks, size, u, oracles.violations(h.edges, size, u)) for h, size, u in levels]
+    for h in _cbc_inputs(16, (7,)):
+        inputs += [(h.masks, size, u, _pair_route(h.masks, size, u)) for size, u in ((6, 5), (4, 4))]
+    for masks, size, u, want in inputs:
+        assert _vertex_route(masks, size, u) == want
+        if want:
+            assert _vertex_route(masks, size, u, budget=len(want)) == want
+            with pytest.raises(BudgetExceeded):
+                _vertex_route(masks, size, u, budget=len(want) - 1)
+        assert sum(table.size for _, table in freeness._TABLES.values()) <= cap
+    assert sum(len(want) for *_, want in inputs) > 1_000
 
 
 def test_span_bounded_systems_spans_below_r_are_empty():
