@@ -8,9 +8,10 @@ edges are the surviving bad e-systems.  The result provably satisfies the
 graded profile, and the final check is run, not assumed.
 
 Every stage but the span enumerations is near-linear in its input: the
-sample is unranked in one incremental pass over its sorted ranks; level 2
-of the alteration is a greedy over per-vertex edge bitsets, with no list of
-pairs; each entangled-pair sweep counts shared edges through an
+sample is unranked all at once, by one searchsorted per vertex position
+in `_colex_unrank`, the routine the exact verifiers unrank with; level 2
+of the alteration is a greedy over per-vertex edge bitsets, with no list
+of pairs; each entangled-pair sweep counts shared edges through an
 edge-to-system index; and the exchange pass of the independent set scans
 only the vertices a swap can gain, not every vertex.
 """
@@ -42,6 +43,7 @@ from .freeness import (
     FreenessConstraint,
     Verdict,
     _bit_indices,
+    _colex_unrank,
     _incidence,
     _partners,
     _support,
@@ -225,37 +227,13 @@ def plan(
 
 
 def unrank_ascending(ranks, n: int, r: int) -> list[tuple[int, ...]]:
-    """The r-subsets of 1..n with the given ascending lexicographic ranks
-    (0-based), in one pass.
-
-    Consecutive subsets share a prefix, so each walk resumes where the
-    last one stopped: `first[j]` and `end[j]` bound the ranks of the
-    subsets that start with the current `edge[:j]`, and only the positions
-    past the longest prefix still holding the next rank are recomputed.
+    """The r-subsets of 1..n with the given lexicographic ranks (0-based),
+    in the order given.  Reflecting every vertex v to n - v reverses lex
+    order into colex order on range(n), so the subset of lex rank x is the
+    reflection of the one of colex rank C(n, r) - 1 - x, by `_colex_unrank`.
     """
-    edge = list(range(1, r + 1))  # the subset of rank 0
-    first = [0] * (r + 1)
-    end = [comb(n, r)] + [comb(n - edge[j], r - j - 1) for j in range(r)]
-    out = []
-    for idx in ranks:
-        j = r
-        while idx >= end[j]:
-            j -= 1
-        for k in range(j, r):
-            if k == j:
-                x, acc = edge[k], first[k + 1]  # resume the walk
-            else:
-                x, acc = edge[k - 1] + 1, first[k]
-            if k == r - 1:
-                x, acc = x + idx - acc, idx  # each last vertex is one rank
-            else:
-                while acc + comb(n - x, r - k - 1) <= idx:
-                    acc += comb(n - x, r - k - 1)
-                    x += 1
-            edge[k], first[k + 1] = x, acc
-            end[k + 1] = acc + comb(n - x, r - k - 1)
-        out.append(tuple(edge))
-    return out
+    colex = _colex_unrank(comb(n, r) - 1 - np.asarray(ranks, np.int64), r, n)
+    return list(map(tuple, (n - colex[:, ::-1]).tolist()))
 
 
 def sample(params: ConstructionParams) -> Hypergraph:
@@ -264,7 +242,7 @@ def sample(params: ConstructionParams) -> Hypergraph:
     The number of edges is Binomial(C(n, r), p); that many distinct edges
     are then chosen uniformly via rank sampling, so any two runs with the
     same seed produce identical hypergraphs.  The sorted ranks are unranked
-    in one incremental pass.
+    all at once, by `_colex_unrank` through `unrank_ascending`.
     """
     n, r, p = params.n, params.r, params.p
     population = comb(n, r)

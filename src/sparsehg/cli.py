@@ -231,6 +231,8 @@ def run_scaling(args) -> int:
         raise SparseHgError(f"need at least 3 distinct n values to fit a slope, got {ladder}")
     if args.trials < 1:
         raise SparseHgError("need trials >= 1")
+    if args.jobs < 1:
+        raise SparseHgError("need jobs >= 1")
     jobs = [
         (args.r, args.e, args.v, n, trial, args.seed + trial, _budget(args), args.timings)
         for n in sorted(set(ladder))

@@ -207,6 +207,36 @@ def _incidence(masks) -> list[int]:
     return inc
 
 
+def _binomials(s: int, k: int) -> np.ndarray:
+    """binom[j, c] = C(c, j) for j <= k and c < s, clipped at 2**62 so
+    that int64 holds every entry."""
+    return np.array([[min(comb(c, j), 1 << 62) for c in range(s)] for j in range(k + 1)], np.int64)
+
+
+def _colex_rank(sets: np.ndarray, s: int) -> np.ndarray:
+    """The colex ranks of ascending subsets of range(s), laid along the
+    last axis: the sum of C(c, j + 1) over the j-th element c from 0."""
+    binom = _binomials(s, sets.shape[-1])
+    return sum(binom[j + 1, sets[..., j]] for j in range(sets.shape[-1]))
+
+
+def _colex_unrank(ranks, k: int, s: int) -> np.ndarray:
+    """The k-subsets of range(s) with the given colex ranks, one ascending
+    row each: the inverse of `_colex_rank` (the combinatorial number
+    system, Knuth, TAOCP 4A, 7.2.1.3).  The top element of the subset of
+    rank x is the largest c with C(c, k) <= x, and the rest is the
+    (k - 1)-subset of rank x - C(c, k).  One searchsorted per position
+    reads it off `_binomials`; every rank is below their clip, 2**62, so
+    the clip changes no result."""
+    binom = _binomials(s, k)
+    x = np.asarray(ranks, np.int64)
+    out = np.empty((len(x), k), np.int64)
+    for j in range(k, 0, -1):
+        out[:, j - 1] = np.searchsorted(binom[j], x, side="right") - 1
+        x = x - binom[j, out[:, j - 1]]
+    return out
+
+
 # Colex-rank tables of the vertex route, by (u, r): the largest support s
 # asked for so far and table[j, V] = the colex rank of the j-th r-subset of
 # the V-th u-subset of range(s), both in colex order.  They depend on
@@ -300,15 +330,9 @@ def _subset_ranks(sets: np.ndarray, s: int, u: int, r: int) -> np.ndarray:
     """ranks[i, j]: the colex rank of the j-th r-subset of the sets[i]-th
     u-subset of range(s), both in colex order; the rows of
     `_colex_table(s, u, r)` at columns `sets`, without the table.  The
-    top vertex of a u-set of colex rank x is the largest c with
-    C(c, u) <= x, and the rest has rank x - C(c, u)."""
-    binom = np.array([[comb(c, j) for j in range(u + 1)] for c in range(s)], np.int64)
-    vs = np.empty((len(sets), u), np.int64)
-    for j in range(u, 0, -1):
-        vs[:, j - 1] = np.searchsorted(binom[:, j], sets, side="right") - 1
-        sets = sets - binom[vs[:, j - 1], j]
-    subsets = np.array(sorted(itertools.combinations(range(u), r), key=lambda c: c[::-1])).T  # colex
-    return sum(binom[vs[:, subsets[j]], j + 1] for j in range(r))
+    u-sets are read off their ranks by `_colex_unrank`."""
+    subsets = np.array(sorted(itertools.combinations(range(u), r), key=lambda c: c[::-1]))  # colex
+    return _colex_rank(_colex_unrank(sets, u, s)[:, subsets], s)
 
 
 def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) -> list[tuple[int, ...]]:
@@ -350,9 +374,7 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
     raw = np.frombuffer(b"".join(mk.to_bytes(width, "little") for mk in masks), np.uint8)
     bits = np.unpackbits(raw, bitorder="little").reshape(m, -1)[:, verts]
     local = (np.flatnonzero(bits) % s).reshape(m, r)
-    # colex rank: the sum of C(c, j + 1) over the edge's vertices c, the
-    # j-th from 0 in ascending order
-    ranks = sum(np.array([comb(c, j + 1) for c in range(s)], np.int64)[local[:, j]] for j in range(r))
+    ranks = _colex_rank(local, s)
     slot = np.full(comb(s, r), -1, np.int32)
     slot[ranks] = np.arange(m, dtype=np.int32)
 

@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     RetriesExhausted,
 )
-from .freeness import ConstraintProfile, FreenessConstraint, Verdict, check_profile
+from .freeness import ConstraintProfile, FreenessConstraint, Verdict, _colex_unrank, check_profile
 from .hypergraph import Hypergraph, canonicalize
 
 # default cap on the work of a min_distance search and of a builder run
@@ -481,18 +481,9 @@ class _ColumnSearch:
     def _unrank(lo: int, j: int, l: int, cs, idx) -> np.ndarray:
         """The sets T + {c}, one row each, for states idx of group l at
         level j with zero column c.  T is l plus the (j - 1)-subset of
-        lo..l-1 with colex rank idx: its largest element is lo + b for the
-        largest b with C(b, j - 1) <= idx, and the rest have colex rank
-        idx - C(b, j - 1)."""
-        cols = [cs]
-        if j:
-            cols.append(np.full(len(idx), l))
-        for i in range(j - 1, 0, -1):
-            ranks = np.array([math.comb(b, i) for b in range(l - lo)])
-            b = np.searchsorted(ranks, idx, side="right") - 1
-            idx = idx - ranks[b]
-            cols.append(lo + b)
-        return np.stack(cols[::-1], axis=1)
+        lo..l-1 with colex rank idx, read off by `_colex_unrank`."""
+        head = [lo + _colex_unrank(idx, j - 1, l - lo), np.full((len(idx), 1), l)] if j else []
+        return np.hstack([*head, cs[:, None]])
 
 
 class _Distance(int):

@@ -151,7 +151,7 @@ def test_sample_edges_canonical():
 
 def test_unrank_ascending_matches_unrank_combination():
     rng = random.Random(11)
-    for n, r in [(3, 3), (9, 3), (12, 5), (40, 3), (23, 11), (1024, 3)]:
+    for n, r in [(3, 3), (9, 3), (12, 5), (40, 3), (23, 11), (1024, 3), (70, 65)]:
         population = math.comb(n, r)
         for count in (0, 1, min(population, 400)):
             ranks = sorted(rng.sample(range(population), count))

@@ -274,6 +274,16 @@ def test_scaling_pool_never_outnumbers_its_jobs(monkeypatch):
     assert sizes == [3, 2]
 
 
+def test_scaling_rejects_fewer_than_one_job(monkeypatch, capsys):
+    args = ["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64", "--trials", "1"]
+    for jobs in ("0", "-2"):
+        assert main(args + ["--jobs", jobs]) == 1
+        assert "jobs >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("SPARSEHG_JOBS", "0")
+    assert main(args) == 1
+    assert "jobs >= 1" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, sparsehg, sparsehg.cli; print('concurrent.futures.process' in sys.modules)"
