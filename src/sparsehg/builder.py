@@ -169,6 +169,8 @@ def plan(
     # are capped below e edges, which small-field block constructions use
     if n < r:
         raise BadRange(f"need n >= r = {r}, got n={n}")
+    if seed < 0:
+        raise BadRange(f"need seed >= 0, got {seed}")
     main_exp = Fraction(e * r - v, e - 1)
     for v_j, e_j in extra_targets:
         if e_j < 2 or v_j < r + 1 or v_j > e_j * r - 1:

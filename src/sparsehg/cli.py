@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from . import batch, builder, freeness, ipps, lrc
 from .errors import (
+    BadRange,
     BudgetExceeded,
     CertificationFailed,
     InsufficientYield,
@@ -233,6 +234,8 @@ def run_scaling(args) -> int:
         raise SparseHgError("need trials >= 1")
     if args.jobs < 1:
         raise SparseHgError("need jobs >= 1")
+    if args.seed < 0:
+        raise BadRange(f"need seed >= 0, got {args.seed}")
     jobs = [
         (args.r, args.e, args.v, n, trial, args.seed + trial, _budget(args), args.timings)
         for n in sorted(set(ladder))

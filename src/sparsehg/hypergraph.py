@@ -3,7 +3,7 @@
 Vertices are 1..n.  Edges are stored as sorted vertex tuples in lexicographic
 order, so equal hypergraphs compare equal and serialize to identical bytes.
 Set operations on edges use integer bitmasks (bit v-1 stands for vertex v),
-which keeps span computations cheap in the enumeration kernels.
+written only by `_edge_mask`, which stays private: it runs once per edge.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 from .errors import BadIndex, DuplicateEdge, NonUniform, OutOfRange, ParseError
 
 
-def edge_mask(edge: tuple[int, ...]) -> int:
+def _edge_mask(edge: tuple[int, ...]) -> int:
     m = 0
     for v in edge:
         m |= 1 << (v - 1)
@@ -40,7 +40,7 @@ class Hypergraph:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(edge_mask(e) for e in self.edges)
+        return tuple(_edge_mask(e) for e in self.edges)
 
     @property
     def m(self) -> int:
@@ -69,13 +69,17 @@ def canonicalize(
     Each raw edge must consist of r distinct vertices in 1..n.  Vertex order
     inside an edge and edge order are both normalized by sorting.  Duplicate
     edges raise DuplicateEdge unless multi is set.  For an empty edge list the
-    uniformity must be given explicitly.
+    uniformity must be given explicitly; it must be at least 1, as in parse_hg.
     """
     if n < 1:
         raise OutOfRange(f"n must be positive, got {n}")
+    if r is not None and r < 1:
+        raise NonUniform(f"uniformity r must be positive, got {r}")
     normalized = []
     for raw in raw_edges:
         edge = tuple(sorted(raw))
+        if not edge:
+            raise NonUniform("empty edge; uniformity r must be positive")
         if len(set(edge)) != len(edge):
             raise NonUniform(f"repeated vertex in edge {tuple(raw)}")
         if r is None:

@@ -17,7 +17,7 @@ from math import gcd
 from .builder import DEFAULT_BUDGET, _run_attempts, plan
 from .errors import BadRange, CertificationFailed, GcdCondition, TooLarge
 from .freeness import Verdict
-from .hypergraph import Hypergraph, edge_mask
+from .hypergraph import Hypergraph, _edge_mask
 
 # the largest n, m and t check_ipps searches exhaustively without force=True
 MAX_N, MAX_M, MAX_T = 20, 12, 3
@@ -71,7 +71,7 @@ def check_ipps(h: Hypergraph, t: int, *, force: bool = False) -> Verdict:
         )
     masks = list(h.masks)
     for x in itertools.combinations(range(1, h.n + 1), h.r):
-        x_mask = edge_mask(x)
+        x_mask = _edge_mask(x)
         covers = minimal_covers(x_mask, masks, t)
         if not covers:
             continue  # X not coverable; out of scope

@@ -16,7 +16,7 @@ from conftest import ACCEPTANCE_LINES, random_edges, random_hypergraph
 from sparsehg import canonicalize, freeness, ipps, lrc, parse_hg, serialize_hg
 from sparsehg.batch import check_cbc, check_sdr_all
 from sparsehg.cli import main
-from sparsehg.hypergraph import Hypergraph, edge_mask
+from sparsehg.hypergraph import Hypergraph, _edge_mask
 
 
 @pytest.fixture(scope="session")
@@ -189,7 +189,7 @@ def test_criterion_5_ipps(acc):
         covered = 0
         for k in fam:
             covered |= planted.masks[k]
-        assert covered & edge_mask(x) == edge_mask(x)
+        assert covered & _edge_mask(x) == _edge_mask(x)
     dt = time.perf_counter() - t0
     assert dt < 600.0
     acc["generators"]["c5"] = _build_ipps_graphs

@@ -73,6 +73,11 @@ def test_plan_range_errors():
         plan(3, 3, 6, 64, extra_targets=[(9, 3)])  # v_j above e_j*r - 1
     with pytest.raises(BadRange):
         plan(3, 3, 6, 32, max_retries=0)
+    # a library error, not numpy's ValueError from default_rng
+    with pytest.raises(BadRange):
+        plan(3, 3, 6, 64, seed=-1)
+    with pytest.raises(BadRange):
+        construct(3, 3, 6, 64, seed=-1)
 
 
 def test_plan_allows_n_at_most_v():

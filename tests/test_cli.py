@@ -284,6 +284,23 @@ def test_scaling_rejects_fewer_than_one_job(monkeypatch, capsys):
     assert "jobs >= 1" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_1_with_bad_range(monkeypatch, capsys):
+    runs = [
+        ["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "64", "--seed", "-1"],
+        ["cbc", "construct", "--r", "3", "--e", "6", "--n", "16", "--seed", "-2"],
+        ["lrc", "build", "--q", "23", "--r", "11", "--d", "11", "--m", "2", "--seed", "-1"],
+        ["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64", "--trials", "1", "--seed", "-1"],
+    ]
+    for args in runs:
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "error: BadRange" in err and "seed >= 0" in err and "Traceback" not in err
+    assert not Path("scaling.csv").exists()
+    monkeypatch.setenv("SPARSEHG_SEED", "-1")
+    assert main(runs[0][:-2]) == 1
+    assert "error: BadRange" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = "import sys, sparsehg, sparsehg.cli; print('concurrent.futures.process' in sys.modules)"

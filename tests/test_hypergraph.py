@@ -47,6 +47,11 @@ def test_canonicalize_errors():
         canonicalize([], 0, r=3)
     with pytest.raises(NonUniform):
         canonicalize([], 5)  # no edge to read r from
+    # parse_hg rejects r < 1, so no such hypergraph may be built
+    with pytest.raises(NonUniform):
+        canonicalize([()], 3)  # r read off an empty first edge
+    with pytest.raises(NonUniform):
+        canonicalize([], 3, r=0)
 
 
 def test_canonicalize_idempotent(rng):

@@ -21,7 +21,7 @@ from sparsehg import (
     minimal_covers,
 )
 from sparsehg import builder, ipps
-from sparsehg.hypergraph import edge_mask
+from sparsehg.hypergraph import _edge_mask
 
 
 def repair_free(rng, n, m, e, v):
@@ -84,7 +84,7 @@ def test_planted_negative_with_disjoint_covers():
         covered = 0
         for k in fam:
             covered |= h.masks[k]
-        assert covered & edge_mask(x) == edge_mask(x)
+        assert covered & _edge_mask(x) == _edge_mask(x)
 
 
 def test_witness_empty_intersection_by_recount():
@@ -150,7 +150,7 @@ def test_passing_is_stable_under_deletion(rng):
 
 def test_minimal_covers_are_minimal_and_cover():
     h = canonicalize([[1, 2, 4], [3, 5, 6], [1, 2, 7], [3, 8, 9]], 9)
-    x_mask = edge_mask((1, 2, 3))
+    x_mask = _edge_mask((1, 2, 3))
     covers = minimal_covers(x_mask, list(h.masks), 2)
     assert covers == [(0, 2), (0, 3), (1, 2), (1, 3)]
     for c in covers:
