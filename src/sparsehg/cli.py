@@ -229,11 +229,11 @@ def _scaling_cell(job: tuple) -> dict:
 def run_scaling(args) -> int:
     ladder = args.n
     if len(set(ladder)) < 3:
-        raise SparseHgError(f"need at least 3 distinct n values to fit a slope, got {ladder}")
+        raise BadRange(f"need at least 3 distinct n values to fit a slope, got {ladder}")
     if args.trials < 1:
-        raise SparseHgError("need trials >= 1")
+        raise BadRange("need trials >= 1")
     if args.jobs < 1:
-        raise SparseHgError("need jobs >= 1")
+        raise BadRange("need jobs >= 1")
     if args.seed < 0:
         raise BadRange(f"need seed >= 0, got {args.seed}")
     jobs = [

@@ -236,8 +236,8 @@ class LrcSpec:
         flags = []
         if self.d < 11:
             flags.append("d < 11: outside the stated equivalence hypotheses")
-        if self.r < self.d - 2:
-            flags.append("r < d - 2: outside the stated equivalence hypotheses")
+        if self.r < self.d - 1:
+            flags.append("r < d - 1: outside the stated equivalence hypotheses")
         return tuple(flags)
 
     def to_json(self) -> str:
@@ -336,11 +336,11 @@ class _ColumnSearch:
     level).  States run along the last axis so that numpy's inner loops
     are long.
 
-    A prefix whose sets would not fit in _FRONTIER_BYTES is split by its
-    next column: P + (f,) is searched on its own, and the rest from f + 1
-    on.  Slabs run in lex order, each searching only below the best size
-    found so far, so the first set found at the final size is also the
-    lex-first one.
+    The search runs once, from the empty prefix.  A prefix whose sets
+    would not fit in _FRONTIER_BYTES is split by its next column: P + (f,)
+    is searched on its own, and the rest from f + 1 on.  Slabs run in lex
+    order, each searching only below the best size found so far, so the
+    first set found at the final size is also the lex-first one.
     """
 
     def __init__(self, rows: np.ndarray, q: int, max_size: int):
@@ -353,18 +353,8 @@ class _ColumnSearch:
             self.entry_bytes += sys.getsizeof(q)
         self.hit: tuple[int, ...] | None = None
         self.peak = 0  # most bytes of stored levels held at once
-        state = rows.astype(self.dtype)
-        # only sets smaller than self.best are searched.  A first pass
-        # covers the sizes whose levels fit in one slab, so a small
-        # distance is found without splitting; the full search runs only
-        # when that pass finds nothing.
-        self.best = max_size + 1
-        while self.best > 2 and self._peak(0, len(state), 0) > _FRONTIER_BYTES:
-            self.best -= 1
-        self._prefix((), state, 0)
-        if self.hit is None and self.best <= max_size:
-            self.best = max_size + 1
-            self._prefix((), state, 0)
+        self.best = max_size + 1  # only sets smaller than this are searched
+        self._prefix((), rows.astype(self.dtype), 0)
 
     def _found(self, subset: tuple[int, ...]) -> None:
         self.best = len(subset)
@@ -502,17 +492,18 @@ class _Distance(int):
 def min_distance(m: FqMatrix, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest number of linearly dependent columns, as a _Distance.
 
-    The search runs level by level (see _ColumnSearch): a zero column is
-    a dependent set, and the independent sets of one size are extended
-    one new column at a time, all sets ending before it together.  The
-    budget meters the same work as an exhaustive sweep of column subsets,
-    by size and then in lexicographic order, up to and including the
-    first dependent one: the result is returned only if that count is at
-    most the budget, and otherwise BudgetExceeded carries checked_up_to,
-    the largest size whose subsets the budget covers entirely (every
-    smaller size is then cleared).  Arithmetic is exact for every prime
-    PrimeField accepts, and the search's working memory is capped by
-    _FRONTIER_BYTES whatever the budget.
+    The search runs once, in lex-ordered slabs, each level by level (see
+    _ColumnSearch): a zero column is a dependent set, and the independent
+    sets of one size are extended one new column at a time, all sets
+    ending before it together.  The budget meters the same work as an
+    exhaustive sweep of column subsets, by size and then in lexicographic
+    order, up to and including the first dependent one: the result is
+    returned only if that count is at most the budget, and otherwise
+    BudgetExceeded carries checked_up_to, the largest size whose subsets
+    the budget covers entirely (every smaller size is then cleared).
+    Arithmetic is exact for every prime PrimeField accepts, and the
+    search's working memory is capped by _FRONTIER_BYTES whatever the
+    budget.
     """
     n = m.cols
     if n == 0:
@@ -635,7 +626,7 @@ class EquivalenceReport:
 def check_equivalence(spec: LrcSpec, *, budget: int = DEFAULT_BUDGET) -> EquivalenceReport:
     """Evaluate optimality and block freeness independently and report both.
 
-    Inside the hypotheses d >= 11, r >= d - 2 the two sides must agree;
+    Inside the hypotheses d >= 11, r >= d - 1 the two sides must agree;
     outside them the report carries warning flags and makes no claim.
     """
     optimal, columns = _check_optimal(spec, budget)
@@ -717,8 +708,8 @@ def construct_lrc(
     sampling probability gets a floor making the expected sample workable
     at field size q, which the power law alone would not reach.
     """
-    if d < 11 or r < d - 2:
-        raise BadRange(f"need d >= 11 and r >= d - 2, got d={d}, r={r}")
+    if d < 11 or r < d - 1:
+        raise BadRange(f"need d >= 11 and r >= d - 1, got d={d}, r={r}")
     PrimeField(q)  # validates primality
     if target_m < 1:
         raise BadRange(f"need target_m >= 1, got {target_m}")

@@ -232,11 +232,13 @@ def test_scaling_needs_three_points(tmp_path, capsys):
     rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48",
                "--trials", "1", "--out", "s.csv"])
     assert rc == 1
-    assert "3 distinct n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: BadRange" in err and "3 distinct n" in err
     rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64",
                "--trials", "0", "--out", "s.csv"])
     assert rc == 1
-    assert "trials >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: BadRange" in err and "trials >= 1" in err
     # C(4000000, 3) is too large for the sampler, so that cell fails and
     # only two n values yield: the summary row carries no slope
     rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,4000000",
@@ -278,10 +280,12 @@ def test_scaling_rejects_fewer_than_one_job(monkeypatch, capsys):
     args = ["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64", "--trials", "1"]
     for jobs in ("0", "-2"):
         assert main(args + ["--jobs", jobs]) == 1
-        assert "jobs >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: BadRange" in err and "jobs >= 1" in err
     monkeypatch.setenv("SPARSEHG_JOBS", "0")
     assert main(args) == 1
-    assert "jobs >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: BadRange" in err and "jobs >= 1" in err
 
 
 def test_negative_seed_exits_1_with_bad_range(monkeypatch, capsys):
@@ -434,6 +438,13 @@ def test_vertex_route_takes_only_tight_levels(monkeypatch):
     builder.construct(3, 3, 6, 128, seed=0)
     lrc.construct_lrc(23, 10, 11, 2, seed=0)
     assert levels == []
+
+
+def test_lrc_build_rejects_r_equal_d_minus_2(capsys):
+    # the Singleton-type bound is d + 1 there, so no build could certify
+    assert main(["lrc", "build", "--q", "31", "--r", "9", "--d", "11", "--m", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "error: BadRange" in err and "r >= d - 1" in err
 
 
 def test_lrc_build_counting_bound(capsys):

@@ -174,8 +174,16 @@ def test_spec_properties_and_flags():
         "d < 11: outside the stated equivalence hypotheses",
     )
     low_r = lrc.LrcSpec(q=7, r=2, d=5, a_list=((0, 1, 2),))
-    assert len(low_r.hypothesis_flags) == 2  # d < 11 and r < d - 2
+    assert len(low_r.hypothesis_flags) == 2  # d < 11 and r < d - 1
     assert FLAGSHIP.hypothesis_flags == ()
+    # at r = d - 2, k = (m - 1)r, so the bound n - k - ceil(k/r) + 2 is
+    # d + 1: two disjoint blocks are free, yet the code is not optimal,
+    # and the report must say the sides need not agree there
+    disjoint = lrc.LrcSpec(q=31, r=9, d=11, a_list=(tuple(range(10)), tuple(range(10, 20))))
+    assert disjoint.hypothesis_flags == ("r < d - 1: outside the stated equivalence hypotheses",)
+    report = lrc.check_equivalence(disjoint)
+    assert (report.free, report.optimal, report.bound, report.d_actual) == (True, False, 12, 11)
+    assert report.flags == disjoint.hypothesis_flags
 
 
 def test_spec_json_round_trip():
@@ -598,19 +606,21 @@ def test_distance_search_memory_is_capped(monkeypatch, cap):
 
 def test_flagship_search_makes_few_long_eliminations(monkeypatch):
     # at the default cap one [22, 11] search makes few, long batched steps:
-    # 620 calls with the column walk's 11.  Timed inside one search of 50-61
-    # ms on a 2-vCPU machine, _eliminate took 23-27 ms (its pivot fix 9-11)
-    # and the zero-column tests 5-6 ms; the rest is gathering batches and
-    # numpy dispatch.  No child of c = n - 1 is built, as it keeps no
-    # column, so no call gets a single column.  Slabs over column ranges
-    # made 651; with them, batches of a twelfth of the cap made 839, and
-    # the former 256 KiB cap 2,496
+    # 525 calls with the column walk's 11, and 178 on the planted twin of
+    # distance 4.  Both are pinned, as a pass that speeds one of them up
+    # slows the other: a first pass over the sizes that fit one slab took
+    # the twin to 71 and the [22, 11] code to 620.  No child of c = n - 1
+    # is built, as it keeps no column, so no call gets a single column.
+    # Slabs over column ranges made 651; with them, batches of a twelfth
+    # of the cap made 839, and the former 256 KiB cap 2,496
     widths = []
     real = lrc._eliminate
     monkeypatch.setattr(lrc, "_eliminate", lambda x, q: widths.append(x.shape[1]) or real(x, q))
-    assert lrc.min_distance(lrc.parity_check(FLAGSHIP)) == 11
-    assert len(widths) <= 620
-    assert min(widths) >= 2
+    for spec, distance, calls in ((FLAGSHIP, 11, 525), (PLANTED, 4, 178)):
+        widths.clear()
+        assert lrc.min_distance(lrc.parity_check(spec)) == distance
+        assert len(widths) <= calls
+        assert min(widths) >= 2
 
 
 def test_singleton_bound():
@@ -730,6 +740,8 @@ def test_construct_lrc_rejects_bad_parameters():
         lrc.construct_lrc(23, 10, 9, 2)
     with pytest.raises(BadRange):
         lrc.construct_lrc(23, 8, 11, 2)
+    with pytest.raises(BadRange):  # r = d - 2 can never be optimal
+        lrc.construct_lrc(31, 9, 11, 2)
     with pytest.raises(BadRange):
         lrc.construct_lrc(22, 10, 11, 2)
     with pytest.raises(BadRange):
