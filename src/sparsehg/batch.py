@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .builder import DEFAULT_BUDGET, construct
-from .errors import BadRange, GcdCondition, SparseHgError, TooLarge
+from .errors import BadRange, GcdCondition, TooLarge
 from .freeness import Verdict, check_profile, deficit_profile
 from .hypergraph import Hypergraph
 
@@ -92,8 +92,8 @@ def containment_margins(r: int, e: int, q: int = 0) -> dict[int, int]:
     """Margins i*r - ceil((i-1)(er-v)/(e-1)) - (i-q-1) for v = e-q-1.
 
     Every margin must be nonnegative for the ladder profile at v = e-q-1
-    to imply the deficit profile; this is the parameter-level sanity check
-    run before any batch-code construction.
+    to imply the deficit profile.  At q = 0 the margin is
+    r - ceil((i-1)r/(e-1)), never negative, so construct_cbc needs no check.
     """
     v = e - q - 1
     margins = {}
@@ -122,10 +122,6 @@ def construct_cbc(
         raise BadRange(f"need e > r >= 3, got e={e}, r={r}")
     if gcd(e - 1, r) != 1:
         raise GcdCondition(f"gcd(e-1, r) = gcd({e - 1}, {r}) != 1")
-    margins = containment_margins(r, e)
-    bad = {i: m for i, m in margins.items() if m < 0}
-    if bad:
-        raise SparseHgError(f"containment margins negative at {bad}")
     result = construct(
         r,
         e,
@@ -135,8 +131,9 @@ def construct_cbc(
         min_expected_edges=min_expected_edges,
         budget=budget,
     )
-    # construct raises unless its ladder certificate holds; with every
-    # margin nonnegative, each ladder rung (i, i*r - f(i)) implies the
-    # deficit rung (i, i - 1), and the rung i = 1 holds for any edge, so
-    # check_cbc would repeat the same searches
+    # construct raises unless its ladder certificate holds.  At v = e - 1,
+    # e*r - v = (e - 1)(r - 1) + r, so every containment margin is
+    # r - ceil((i - 1)r/(e - 1)) >= 0: each ladder rung (i, i*r - f(i)) implies
+    # the deficit rung (i, i - 1), rung 1 holds for any edge, and check_cbc
+    # would repeat the same searches
     return result.hypergraph

@@ -187,9 +187,7 @@ def run_verify(args) -> int:
     if args.ladder:
         profile = freeness.ladder_profile(h.r, args.e, args.v)
     else:
-        profile = freeness.ConstraintProfile(
-            (freeness.FreenessConstraint(args.e, args.v),), tag="custom"
-        )
+        profile = freeness.ConstraintProfile((freeness.FreenessConstraint(args.e, args.v),))
     verdict = freeness.check_profile(h, profile, budget=_budget(args))
     report = {
         "schema": 1,
@@ -236,6 +234,10 @@ def run_scaling(args) -> int:
         raise BadRange("need jobs >= 1")
     if args.seed < 0:
         raise BadRange(f"need seed >= 0, got {args.seed}")
+    # parameter errors are the run's, not one cell's: every cell would fail
+    freeness.span_deficits(args.r, args.e, args.v)
+    if min(ladder) < args.r:
+        raise BadRange(f"need n >= r = {args.r}, got n={min(ladder)}")
     jobs = [
         (args.r, args.e, args.v, n, trial, args.seed + trial, _budget(args), args.timings)
         for n in sorted(set(ladder))

@@ -76,7 +76,6 @@ class ConstraintProfile:
     """A conjunction of constraints with pairwise-distinct e values."""
 
     constraints: tuple[FreenessConstraint, ...]
-    tag: str = "custom"
 
     def __post_init__(self):
         es = [c.e for c in self.constraints]
@@ -240,96 +239,94 @@ def _colex_unrank(ranks, k: int, s: int) -> np.ndarray:
 # Colex-rank tables of the vertex route, by (u, r): the largest support s
 # asked for so far and table[j, V] = the colex rank of the j-th r-subset of
 # the V-th u-subset of range(s), both in colex order.  They depend on
-# nothing else, so every call in the process shares them.  The vertex
-# route grows them only while together they hold at most _TABLE_CAP ranks.
-# A table's ranks stay below C(s, r) <= C(s, u)*C(u, r), its own size, so
-# int32 holds them.
+# nothing else, so every call in the process shares them.  Only the tables
+# a count asks for are cached, and only while together they hold at most
+# _TABLE_CAP ranks.  A table's ranks stay below C(s, r) <= C(s, u)*C(u, r),
+# its own size, so int32 holds them.
 _TABLES: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 _TABLE_CAP = 1 << 22  # ranks all cached tables hold together: 16 MiB
 _GATHER = 1 << 16  # ranks looked up per slab of the vertex route's count
 
 
-def _colex_table(s: int, u: int, r: int) -> np.ndarray:
+def _build_table(s: int, u: int, r: int, memo: dict) -> np.ndarray:
     """The colex ranks of the r-subsets of every u-subset of range(s), as
     an array of shape (C(u, r), C(s, u)): column V lists the ranks for the
-    V-th u-set.  Grown on demand and cached; a smaller s reads a prefix.
+    V-th u-set.  The tables it is built from are built once each, in `memo`.
 
-    In colex order the u-sets of range(s) are a prefix of those of
-    range(s + 1), and the u-sets with top vertex t are t joined to the
-    (u - 1)-sets of range(t).  Of such a set's r-subsets, those avoiding t
-    come first in colex order, with the ranks of the order-(u - 1) table;
-    those holding t follow, at C(t, r) plus the (r - 1)-ranks of that set.
+    The u-sets with top vertex t are t joined to the (u - 1)-sets of
+    range(t), which are a prefix of those of range(s - 1) in colex order.
+    Of such a set's r-subsets, those avoiding t come first in colex order,
+    with the ranks of the order-(u - 1) table; those holding t follow, at
+    C(t, r) plus the (r - 1)-ranks of that set.
     """
-    if r == 0:
-        return np.zeros((1, comb(s, u)), np.int32)  # the empty set ranks 0
-    if u < r:
-        return np.zeros((0, comb(s, u)), np.int32)
-    have, table = _TABLES.get((u, r), (u - 1, np.empty((comb(u, r), 0), np.int32)))
+    if r == 0 or u < r or s < u:
+        return np.zeros((comb(u, r), comb(s, u)), np.int32)  # the empty set ranks 0
+    if (s, u, r) not in memo:
+        avoid = _build_table(s - 1, u - 1, r, memo)
+        hold = _build_table(s - 1, u - 1, r - 1, memo)
+        table = np.empty((comb(u, r), comb(s, u)), np.int32)
+        k = len(avoid)
+        for t in range(u - 1, s):
+            a, w = comb(t, u), comb(t, u - 1)
+            table[:k, a : a + w] = avoid[:, :w]
+            table[k:, a : a + w] = hold[:, :w]
+            table[k:, a : a + w] += np.int32(comb(t, r))
+        memo[(s, u, r)] = table
+    return memo[(s, u, r)]
+
+
+def _colex_table(s: int, u: int, r: int) -> np.ndarray | None:
+    """The table of `_build_table`, cached by (u, r); a smaller s reads a
+    prefix.  None where the cache would pass _TABLE_CAP ranks with it and
+    the tables it is built from: by Vandermonde, C(s, u - 1)*C(u, r) more."""
+    have, table = _TABLES.get((u, r), (-1, None))
     if s <= have:
         return table[:, : comb(s, u)]
-    avoid = _colex_table(s - 1, u - 1, r)
-    hold = _colex_table(s - 1, u - 1, r - 1)
-    grown = np.empty((comb(u, r), comb(s, u)), np.int32)
-    grown[:, : table.shape[1]] = table
-    k = len(avoid)
-    for t in range(have, s):
-        a, w = comb(t, u), comb(t, u - 1)
-        grown[:k, a : a + w] = avoid[:, :w]
-        grown[k:, a : a + w] = hold[:, :w]
-        grown[k:, a : a + w] += np.int32(comb(t, r))
-    _TABLES[(u, r)] = (s, grown)
-    return grown
+    others = sum(t.size for key, (_, t) in _TABLES.items() if key != (u, r))
+    if others + comb(s + 1, u) * comb(u, r) > _TABLE_CAP:  # C(s, u) + C(s, u - 1)
+        return None
+    _TABLES.pop((u, r), None)  # the old copy: a prefix of the new one
+    table = _build_table(s, u, r, {})
+    _TABLES[(u, r)] = (s, table)
+    return table
 
 
-def _table_fits(s: int, u: int, r: int) -> bool:
-    """Whether the cache stays within _TABLE_CAP ranks once it holds the
-    table of (s, u, r) and the tables (s - d, u - d, r - j), 0 <= j <= d,
-    that `_colex_table` grows it from."""
-    if s <= _TABLES.get((u, r), (0,))[0]:
-        return True  # cached already
-    ranks = {key: table.size for key, (_, table) in _TABLES.items()}
-    for d in range(u + 1):
-        for j in range(d + 1):
-            if 1 <= r - j <= u - d:
-                key = (u - d, r - j)
-                ranks[key] = max(ranks.get(key, 0), comb(s - d, u - d) * comb(u - d, r - j))
-    return sum(ranks.values()) <= _TABLE_CAP
-
-
-def _count_blocks(hits: np.ndarray, s: int, u: int, r: int):
+def _count_blocks(hits: np.ndarray, s: int, u: int, r: int, top: int):
     """Yield (a, c) in turn, where c[i] counts the r-sets marked in `hits`
     inside the (a + i)-th u-subset of range(s) in colex order; hits[i] is
     1 iff the i-th r-subset of range(s) in colex order is marked.
 
     A table that fits in the cache gives the counts in slabs of `_GATHER`
     ranks.  Otherwise the u-sets come by top vertex t, by the recurrence
-    of `_colex_table`: those of t count the marks of their (u - 1)-set W,
+    of `_build_table`: those of t count the marks of their (u - 1)-set W,
     read off the counts of the (u - 1)-sets of range(s - 1), plus those of
-    t's link, the marked r-sets holding t less t, inside W."""
+    t's link, the marked r-sets holding t less t, inside W.  Tables are
+    asked for at support `top` >= s, less one per level of recursion: the
+    most any t reads, so each is built once and every t reads a prefix."""
     dtype = np.min_scalar_type(comb(u, r))
     if r == 0 or u < r or s < u:
         yield 0, np.full(comb(s, u), hits[0] if r == 0 else 0, dtype)
-    elif _table_fits(s, u, r):
-        table = _colex_table(s, u, r)
+    elif (table := _colex_table(top, u, r)) is not None:
+        table = table[:, : comb(s, u)]
         step = max(1, _GATHER // len(table))
         for a in range(0, table.shape[1], step):
             yield a, hits.take(table[:, a : a + step]).sum(axis=0, dtype=dtype)
     else:
-        low = _counts(hits, s - 1, u - 1, r)
+        low = _counts(hits, s - 1, u - 1, r, top - 1)
         for t in range(u - 1, s):
-            link = _counts(hits[comb(t, r) : comb(t + 1, r)], t, u - 1, r - 1)
+            link = _counts(hits[comb(t, r) : comb(t + 1, r)], t, u - 1, r - 1, top - 1)
             yield comb(t, u), np.add(low[: len(link)], link, dtype=dtype)
 
 
-def _counts(hits: np.ndarray, s: int, u: int, r: int) -> np.ndarray:
+def _counts(hits: np.ndarray, s: int, u: int, r: int, top: int) -> np.ndarray:
     """The counts of `_count_blocks`, joined."""
-    return np.concatenate([c for _, c in _count_blocks(hits, s, u, r)])
+    return np.concatenate([c for _, c in _count_blocks(hits, s, u, r, top)])
 
 
 def _subset_ranks(sets: np.ndarray, s: int, u: int, r: int) -> np.ndarray:
     """ranks[i, j]: the colex rank of the j-th r-subset of the sets[i]-th
     u-subset of range(s), both in colex order; the rows of
-    `_colex_table(s, u, r)` at columns `sets`, without the table.  The
+    `_build_table(s, u, r)` at columns `sets`, without the table.  The
     u-sets are read off their ranks by `_colex_unrank`."""
     subsets = np.array(sorted(itertools.combinations(range(u), r), key=lambda c: c[::-1]))  # colex
     return _colex_rank(_colex_unrank(sets, u, s)[:, subsets], s)
@@ -351,10 +348,10 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
     The budget counts C(|E(V)|, size) per V before any tuple is built.
 
     Memory: the cache holds at most _TABLE_CAP ranks, 16 MiB, whatever the
-    input; growing a table briefly holds its old copy too, so under 32 MiB.
-    A table that would not fit is never built: the count then recurses by
-    top vertex, down to tables that fit or to no table at all.
-    Beside the cache and the systems it returns, a call holds under
+    input, and so does the cache together with the tables one build holds
+    while it runs.  A table that would not fit is never built: the count
+    then recurses by top vertex, down to tables that fit or to no table at
+    all.  Beside those and the systems it returns, a call holds under
     2**20 + m*(3*n + 64*r) + 5*C(s, r) + 4*c*C(s - 1, u - 1) +
     128*C(u, r)*k bytes at once, with n the largest vertex, c the bytes of
     one count (1 while C(u, r) < 256) and k the V expanded: the edges'
@@ -379,7 +376,7 @@ def _vertex_route(masks, size: int, max_span: int, budget: int | None = None) ->
     slot[ranks] = np.arange(m, dtype=np.int32)
 
     full, inside = [], []
-    for a, counts in _count_blocks((slot >= 0).view(np.uint8), s, u, r):
+    for a, counts in _count_blocks((slot >= 0).view(np.uint8), s, u, r, s):
         keep = np.flatnonzero(counts >= size)
         full.append(a + keep)
         inside.append(counts[keep])
@@ -556,7 +553,7 @@ def ladder_profile(r: int, e: int, v: int) -> ConstraintProfile:
     constraints = tuple(
         FreenessConstraint(i, i * r - f[i]) for i in range(2, e + 1)
     )
-    return ConstraintProfile(constraints, tag="ladder")
+    return ConstraintProfile(constraints)
 
 
 def deficit_profile(r: int, q: int, e: int) -> ConstraintProfile:
@@ -570,7 +567,7 @@ def deficit_profile(r: int, q: int, e: int) -> ConstraintProfile:
     if e < 1 or q < 0 or r < 1:
         raise BadRange(f"need e >= 1, q >= 0, r >= 1, got e={e} q={q} r={r}")
     constraints = tuple(FreenessConstraint(i, i - q - 1) for i in range(1, e + 1) if i - q - 1 >= 0)
-    return ConstraintProfile(constraints, tag="deficit")
+    return ConstraintProfile(constraints)
 
 
 def berge_profile(r: int, t: int) -> ConstraintProfile:
@@ -579,7 +576,7 @@ def berge_profile(r: int, t: int) -> ConstraintProfile:
     if t < 2 or r < 2:
         raise BadRange(f"need t >= 2 and r >= 2, got t={t} r={r}")
     constraints = tuple(FreenessConstraint(i, i * r - i) for i in range(2, t + 1))
-    return ConstraintProfile(constraints, tag="berge")
+    return ConstraintProfile(constraints)
 
 
 def _trail(links, levels: list[int], node: int, depth: int) -> list[int]:

@@ -44,7 +44,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(q: int) -> bool:
-    """Deterministic Miller-Rabin, exact for the 64-bit range."""
+    """Deterministic Miller-Rabin, exact for q < 2**64 (its first strong
+    pseudoprime to these bases is above 3 * 10**23)."""
     if q < 2:
         return False
     if q in _MR_WITNESSES:
@@ -73,6 +74,8 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
+        if self.q >= 1 << 64:
+            raise BadRange(f"field size {self.q} is not below 2**64, where primality is decided exactly")
         if not is_prime(self.q):
             raise BadRange(f"{self.q} is not prime")
 
@@ -575,10 +578,7 @@ def block_hypergraph(spec: LrcSpec) -> Hypergraph:
 
 def freeness_profile(spec: LrcSpec) -> ConstraintProfile:
     t = (spec.d - 1) // 2
-    return ConstraintProfile(
-        tuple(FreenessConstraint(i, i * spec.r) for i in range(1, t + 1)),
-        tag="lrc",
-    )
+    return ConstraintProfile(tuple(FreenessConstraint(i, i * spec.r) for i in range(1, t + 1)))
 
 
 @dataclass(frozen=True)
@@ -696,8 +696,6 @@ def construct_lrc(
     target_m: int,
     seed: int = 0,
     *,
-    max_retries: int = 16,
-    min_expected_edges: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> LrcSpec:
     """Build an optimal code by constructing a span-free block family.
@@ -723,18 +721,16 @@ def construct_lrc(
             f"one point need {needed} > q = {q} field elements"
         )
     t = (d - 1) // 2
-    if min_expected_edges is None:
-        # the first surviving block is the lexicographically first sample;
-        # each further sample survives the overlap sweep with probability
-        # p_compat = P(two random (r+1)-subsets of F_q share <= 1 point),
-        # so the sample floor scales with 1/p_compat at tight fields
-        width = r + 1
-        population = math.comb(q, width)
-        compatible = math.comb(q - width, width) + width * math.comb(q - width, r)
-        # at q <= 2r no two blocks are compatible, so only one can survive
-        p_compat = compatible / population
-        tight = min(0.7 / p_compat, 0.5 * population) if p_compat else 0.0
-        min_expected_edges = max(8.0, 4.0 * target_m, tight)
+    # the first surviving block is the lexicographically first sample;
+    # each further sample survives the overlap sweep with probability
+    # p_compat = P(two random (r+1)-subsets of F_q share <= 1 point),
+    # so the sample floor scales with 1/p_compat at tight fields
+    width = r + 1
+    population = math.comb(q, width)
+    compatible = math.comb(q - width, width) + width * math.comb(q - width, r)
+    # at q <= 2r no two blocks are compatible, so only one can survive
+    p_compat = compatible / population
+    tight = min(0.7 / p_compat, 0.5 * population) if p_compat else 0.0
     try:
         result = construct(
             r + 1,
@@ -742,9 +738,8 @@ def construct_lrc(
             t * r,
             q,
             seed=seed,
-            max_retries=max_retries,
             min_yield=target_m,
-            min_expected_edges=min_expected_edges,
+            min_expected_edges=max(8.0, 4.0 * target_m, tight),
             budget=budget,
         )
     except RetriesExhausted as exc:

@@ -128,6 +128,13 @@ def test_containment_margins_36_nonnegative():
     margins = containment_margins(3, 6)
     assert margins == {1: 3, 2: 2, 3: 1, 4: 1, 5: 0, 6: 0}
     assert all(v >= 0 for v in margins.values())
+    # at v = e - 1, e*r - v = (e - 1)(r - 1) + r, so every margin is
+    # r - ceil((i - 1)r/(e - 1)), never negative: construct_cbc needs no check
+    for r in range(3, 13):
+        for e in range(r + 1, 41):
+            margins = containment_margins(r, e)
+            assert margins == {i: r - -(-(i - 1) * r // (e - 1)) for i in range(1, e + 1)}
+            assert min(margins.values()) >= 0
 
 
 def test_construct_cbc_35_certified():

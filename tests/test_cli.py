@@ -64,13 +64,25 @@ def test_construct_writes_three_files(tmp_path, capsys):
     assert cert["profile"] == [[2, 4], [3, 6]]
 
 
+def test_construct_with_an_extra_target(tmp_path):
+    # --extra V:E adds the target (7, 4): every 4 edges span at least 8
+    rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
+               "--seed", "1", "--extra", "7:4", "--out", "g.hg"])
+    assert rc == 0
+    cert = json.loads((tmp_path / "g.cert.json").read_text())
+    assert cert["params"]["extra_targets"] == [[7, 4]]
+    assert cert["verdict"]["holds"] is True
+    h = parse_hg((tmp_path / "g.hg").read_text())
+    assert h.m == 18 and oracles.violations(h.edges, 4, 7) == []
+
+
 def test_construct_certificate_is_checked_once(tmp_path, monkeypatch):
     # the certificate file carries the verdict construct() already checked
     calls = []
     real = freeness.check_profile
 
     def counting(*args, **kwargs):
-        calls.append(args[1].tag)
+        calls.append(args[1])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(freeness, "check_profile", counting)
@@ -78,7 +90,7 @@ def test_construct_certificate_is_checked_once(tmp_path, monkeypatch):
     rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
                "--seed", "1", "--out", "g.hg"])
     assert rc == 0
-    assert calls == ["ladder"]
+    assert calls == [freeness.ladder_profile(3, 3, 6)]
     cert = json.loads((tmp_path / "g.cert.json").read_text())
     h = parse_hg((tmp_path / "g.hg").read_text())
     assert cert["verdict"] == real(h, freeness.ladder_profile(3, 3, 6)).to_report()
@@ -249,6 +261,21 @@ def test_scaling_needs_three_points(tmp_path, capsys):
     lines = (tmp_path / "s.csv").read_bytes().decode().split("\r\n")
     assert lines[3] == "4000000,0,0,,"
     assert lines[-2] == "summary,slope=,target=1.500000,residual=,points=2"
+
+
+def test_scaling_parameter_errors_exit_1(capsys):
+    # errors every cell would share stop the run before any cell, where
+    # they would read as "no fit" (exit 2) over a CSV of empty cells
+    runs = [
+        (["--r", "3", "--e", "2", "--v", "6", "--n", "8,9,10"], "BadRange", "e >= 3"),
+        (["--r", "3", "--e", "4", "--v", "9", "--n", "32,48,64"], "GcdCondition", "gcd(e-1, e*r-v)"),
+        (["--r", "3", "--e", "3", "--v", "6", "--n", "1,2,3"], "BadRange", "n >= r = 3"),
+    ]
+    for args, kind, why in runs:
+        assert main(["scaling", *args, "--trials", "1", "--out", "s.csv"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {kind}" in err and why in err
+        assert not Path("s.csv").exists()
 
 
 def test_scaling_pool_never_outnumbers_its_jobs(monkeypatch):
@@ -514,6 +541,29 @@ def test_lrc_verify_exit_4_names_its_witness(tmp_path, capsys):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert main(["lrc", "verify", "spec.json", "--json"]) == 0
     assert "witness" not in json.loads(capsys.readouterr().out)
+
+
+def test_lrc_verify_warns_when_the_sides_disagree(tmp_path, capsys):
+    # at r = d - 2 two disjoint blocks are free, yet the code misses the
+    # bound by one: the human report says so on its own line
+    spec = lrc.LrcSpec(q=31, r=9, d=11, a_list=(tuple(range(10)), tuple(range(10, 20))))
+    (tmp_path / "d.json").write_text(spec.to_json())
+    assert main(["lrc", "verify", "d.json"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("k=9, bound=12, distance=11: not optimal")
+    assert lines[1:] == [
+        "warning: code side and combinatorial side disagree",
+        "warning: r < d - 1: outside the stated equivalence hypotheses",
+    ]
+
+
+def test_lrc_verify_rejects_a_field_size_from_2_64(tmp_path, capsys):
+    # a strong pseudoprime to every base of is_prime: not a field
+    q = 399165290221 * 798330580441
+    (tmp_path / "big.json").write_text(json.dumps({"q": q, "r": 2, "d": 3, "A": [[0, 1, 2], [3, 4, 5]]}))
+    assert main(["lrc", "verify", "big.json"]) == 1
+    err = capsys.readouterr().err
+    assert "error: BadRange" in err and "2**64" in err
 
 
 def test_lrc_verify_missing_file(capsys):

@@ -285,9 +285,11 @@ def _colex(sets):
 
 def test_colex_tables_match_brute_force_ranks_as_they_grow(monkeypatch):
     # a small support first, then a larger one: the cache grows, and the
-    # rows it held before keep their values and lead the grown table
+    # rows it held before keep their values and lead the grown table.  It
+    # holds exactly the tables asked for, not those they are built from
     monkeypatch.setattr(freeness, "_TABLES", {})
-    for u, r in ((1, 1), (3, 1), (3, 2), (4, 3), (5, 3), (5, 2), (6, 4), (5, 4)):
+    asked = ((1, 1), (3, 1), (3, 2), (4, 3), (5, 3), (5, 2), (6, 4), (5, 4))
+    for u, r in asked:
         before = _colex_table(u + 2, u, r).copy()
         for s in (u + 2, u + 5):
             rank = {c: i for i, c in enumerate(_colex(itertools.combinations(range(s), r)))}
@@ -298,7 +300,7 @@ def test_colex_tables_match_brute_force_ranks_as_they_grow(monkeypatch):
             assert _subset_ranks(np.arange(len(want)), s, u, r).tolist() == want  # the same, by unranking
         assert np.array_equal(table[:, : before.shape[1]], before)
         assert _colex_table(u + 2, u, r).T.tolist() == before.T.tolist()  # a prefix of the grown table
-    assert set(freeness._TABLES) >= {(5, 3), (4, 3), (4, 2), (6, 4)}
+    assert set(freeness._TABLES) == set(asked)
 
 
 def test_vertex_route_on_fewer_vertices_than_a_level_spans():
@@ -377,6 +379,18 @@ def test_vertex_route_recurses_where_its_tables_do_not_fit(monkeypatch, rng, cap
                 _vertex_route(masks, size, u, budget=len(want) - 1)
         assert sum(table.size for _, table in freeness._TABLES.values()) <= cap
     assert sum(len(want) for *_, want in inputs) > 1_000
+
+
+def test_pair_level_budget_edge():
+    # size-2 levels take the pair route's closed form; its budget counts
+    # the pairs: their number passes, one fewer raises
+    h = canonicalize([list(e) for e in itertools.combinations(range(1, 7), 3)], 6)
+    for v in (4, 5):
+        count = len(oracles.violations(h.edges, 2, v))
+        verdict = check_free(h, FreenessConstraint(2, v), budget=count)
+        assert not verdict.holds and verdict.witness == (0, 1)
+        with pytest.raises(BudgetExceeded, match="pairs exceed budget"):
+            check_free(h, FreenessConstraint(2, v), budget=count - 1)
 
 
 def test_span_bounded_systems_spans_below_r_are_empty():
@@ -502,6 +516,8 @@ def test_berge_profile_values():
     p = berge_profile(3, 4)
     assert [(c.e, c.v) for c in p.constraints] == [(2, 4), (3, 6), (4, 8)]
     assert [(c.e, c.v) for c in berge_profile(3, 3).constraints] == [(2, 4), (3, 6)]
+    # a profile is its constraints: the (3, 3, 6) ladder is the 3-Berge profile
+    assert berge_profile(3, 3) == ladder_profile(3, 3, 6)
     with pytest.raises(BadRange):
         berge_profile(3, 1)
 
@@ -617,6 +633,14 @@ def test_extract_cycle_from_violating_system():
     cycle = extract_berge_cycle(h, (0, 1, 2))
     assert cycle.length == 3
     assert validate_berge_cycle(h, cycle)
+
+
+def test_extract_cycle_rejects_a_cycle_free_system():
+    # two edges meeting in one vertex, and two disjoint ones: no Berge cycle
+    h = canonicalize([[1, 2, 3], [3, 4, 5], [6, 7, 8]], 8)
+    for system in ((0, 1), (0, 2), (0, 1, 2)):
+        with pytest.raises(BadRange, match="hold no Berge cycle"):
+            extract_berge_cycle(h, system)
 
 
 def test_extracted_cycle_starts_at_its_smallest_edge():

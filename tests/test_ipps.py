@@ -190,6 +190,15 @@ def test_construct_gcd_conditions():
         construct_ipps(5, 3, 15)
 
 
+def test_construct_ipps_inside_the_guard_passes_the_exhaustive_check():
+    # a small n keeps the output within check_ipps's guard, so the
+    # exhaustive identifying check runs on it and holds
+    h = construct_ipps(4, 2, 16, seed=0, min_expected_edges=20.0)
+    assert (h.n, h.m) == (16, 4)
+    assert check_ipps(h, 2).holds
+    assert oracles.is_ipps(h.edges, h.n, 4, 2)
+
+
 def test_construct_33_certified():
     h = construct_ipps(3, 3, 500, seed=4)
     assert h.m >= 6

@@ -22,6 +22,7 @@ from sparsehg.errors import (
     InsufficientYield,
     NotACode,
     ParseError,
+    RetriesExhausted,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 23]
@@ -41,6 +42,15 @@ def test_prime_field_rejects_composite():
         lrc.PrimeField(4)
     with pytest.raises(BadRange):
         lrc.PrimeField(1)
+    # a strong pseudoprime to all 12 bases of is_prime, over which a
+    # diagonal matrix of nonzero entries would have rank 1; and a prime
+    # past 2**64, beyond the range where is_prime is proven exact
+    pseudoprime = 399165290221 * 798330580441
+    for q in (pseudoprime, 2**64 + 13):
+        with pytest.raises(BadRange, match="below 2\\*\\*64"):
+            lrc.PrimeField(q)
+    with pytest.raises(BadRange, match="below 2\\*\\*64"):
+        lrc.parse_fqm(f"1 2 {pseudoprime}\n1 0\n")
 
 
 @given(st.data())
@@ -654,7 +664,6 @@ def test_block_hypergraph():
 
 def test_freeness_profile():
     prof = lrc.freeness_profile(FLAGSHIP)
-    assert prof.tag == "lrc"
     assert [(c.e, c.v) for c in prof.constraints] == [
         (i, 10 * i) for i in range(1, 6)
     ]
@@ -757,11 +766,15 @@ def test_construct_lrc_counting_bound():
     assert "30 > q = 23" in str(exc.value)
 
 
-def test_construct_lrc_starved_sample():
-    # with the sampling floor disabled the power law leaves the expected
-    # sample near zero at n = 23, so the retries run dry
-    with pytest.raises(InsufficientYield):
-        lrc.construct_lrc(23, 10, 11, 2, seed=5, max_retries=3, min_expected_edges=1.0)
+def test_construct_lrc_starved_sample(monkeypatch):
+    # a builder whose retries run dry is reported as too few blocks, with
+    # the best yield it reached
+    def starved(*args, **kwargs):
+        raise RetriesExhausted("yield 1 < min_yield 2 after 16 retries", best_yield=1)
+
+    monkeypatch.setattr(lrc, "construct", starved)
+    with pytest.raises(InsufficientYield, match="at most 1 < target_m=2"):
+        lrc.construct_lrc(23, 10, 11, 2, seed=5)
 
 
 def test_construct_lrc_at_small_fields_builds_one_block():
