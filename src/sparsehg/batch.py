@@ -83,8 +83,6 @@ def check_cbc(h: Hypergraph, e: int, *, budget: int | None = None) -> Verdict:
     """Span-profile route to the same question: free of i edges covering
     fewer than i vertices, for every i <= e.  Independent of check_sdr_all
     by design; the two must agree on every input."""
-    if e < 1:
-        raise BadRange(f"need e >= 1, got {e}")
     return check_profile(h, deficit_profile(h.r, 0, e), budget=budget)
 
 

@@ -171,6 +171,10 @@ def plan(
         raise BadRange(f"need n >= r = {r}, got n={n}")
     if seed < 0:
         raise BadRange(f"need seed >= 0, got {seed}")
+    if min_expected_edges is not None and not 0 <= min_expected_edges < math.inf:
+        raise BadRange(f"need a finite min_expected_edges >= 0, got {min_expected_edges}")
+    if min_yield is not None and min_yield < 0:
+        raise BadRange(f"need min_yield >= 0, got {min_yield}")
     main_exp = Fraction(e * r - v, e - 1)
     for v_j, e_j in extra_targets:
         if e_j < 2 or v_j < r + 1 or v_j > e_j * r - 1:

@@ -6,8 +6,8 @@ files.  Flags can be set through environment variables with the SPARSEHG_
 prefix (SPARSEHG_SEED, SPARSEHG_JOBS, SPARSEHG_BUDGET, SPARSEHG_JSON); an
 explicit flag wins over the environment.
 
-Exit codes: 0 success/holds, 1 parameter or input error, 2 retries or
-yield exhausted, 3 budget or guard exceeded, 4 verification failed.
+Exit codes: 0 success/holds, 1 usage error, 2 a scaling run with no fit,
+4 verification failed; a library error exits with its class's `exit_code`.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ import time
 from fractions import Fraction
 
 from . import batch, builder, freeness, ipps, lrc
-from .errors import (
-    BadRange,
-    BudgetExceeded,
-    CertificationFailed,
-    InsufficientYield,
-    RetriesExhausted,
-    SparseHgError,
-    TooLarge,
-)
+from .errors import BadRange, SparseHgError, TooLarge
 from .hypergraph import parse_hg, serialize_hg
 
 ENV_PREFIX = "SPARSEHG_"
@@ -55,17 +47,11 @@ def _env_flag(name: str) -> bool:
 
 
 def _budget(args, fallback: int = builder.DEFAULT_BUDGET) -> int:
-    return args.budget if args.budget is not None else fallback
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, (RetriesExhausted, InsufficientYield)):
-        return 2
-    if isinstance(exc, (BudgetExceeded, TooLarge)):
-        return 3
-    if isinstance(exc, CertificationFailed):
-        return 4
-    return 1
+    if args.budget is None:
+        return fallback
+    if args.budget < 0:
+        raise BadRange(f"need budget >= 0, got {args.budget}")
+    return args.budget
 
 
 def _emit(report: dict, as_json: bool, lines: list[str], *, sort_keys: bool = True):
@@ -232,12 +218,8 @@ def run_scaling(args) -> int:
         raise BadRange("need trials >= 1")
     if args.jobs < 1:
         raise BadRange("need jobs >= 1")
-    if args.seed < 0:
-        raise BadRange(f"need seed >= 0, got {args.seed}")
     # parameter errors are the run's, not one cell's: every cell would fail
-    freeness.span_deficits(args.r, args.e, args.v)
-    if min(ladder) < args.r:
-        raise BadRange(f"need n >= r = {args.r}, got n={min(ladder)}")
+    builder.plan(args.r, args.e, args.v, min(ladder), seed=args.seed)
     jobs = [
         (args.r, args.e, args.v, n, trial, args.seed + trial, _budget(args), args.timings)
         for n in sorted(set(ladder))
@@ -549,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         parser = _parser(tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith(ENV_PREFIX))))
     except SparseHgError as exc:  # bad environment variable
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
@@ -558,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SparseHgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

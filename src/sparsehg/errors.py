@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by library code derives from SparseHgError so callers
-(and the CLI exit-code mapping) can distinguish our failures from bugs.
+can distinguish our failures from bugs.  Each class carries the exit code
+the CLI returns for it: 1 unless a class below says otherwise.
 """
 
 from __future__ import annotations
@@ -9,9 +10,10 @@ from __future__ import annotations
 
 class SparseHgError(Exception):
     """Base class for all library errors."""
+    exit_code = 1
 
 
-# --- validation / parameter errors (CLI exit code 1) ---
+# --- validation / parameter errors ---
 
 
 class NonUniform(SparseHgError):
@@ -64,11 +66,12 @@ class NotLinear(SparseHgError):
     """Two auxiliary edges share more than one vertex (internal failure)."""
 
 
-# --- retry / yield errors (CLI exit code 2) ---
+# --- retry / yield errors ---
 
 
 class RetriesExhausted(SparseHgError):
     """All retry seeds produced a yield below min_yield."""
+    exit_code = 2
 
     def __init__(self, message: str, best_yield: int = 0):
         self.best_yield = best_yield
@@ -77,13 +80,15 @@ class RetriesExhausted(SparseHgError):
 
 class InsufficientYield(SparseHgError):
     """Fewer certified blocks than requested."""
+    exit_code = 2
 
 
-# --- budget errors (CLI exit code 3) ---
+# --- budget errors ---
 
 
 class BudgetExceeded(SparseHgError):
     """A search exceeded its work budget; carries the verified lower bound."""
+    exit_code = 3
 
     def __init__(self, message: str, checked_up_to: int | None = None):
         self.checked_up_to = checked_up_to
@@ -92,13 +97,15 @@ class BudgetExceeded(SparseHgError):
 
 class TooLarge(SparseHgError):
     """Instance exceeds the exhaustive-check guard and no override was given."""
+    exit_code = 3
 
 
-# --- certification errors (CLI exit code 4) ---
+# --- certification errors ---
 
 
 class CertificationFailed(SparseHgError):
     """A constructed object failed its own re-verification."""
+    exit_code = 4
 
 
 # --- numeric / code errors ---

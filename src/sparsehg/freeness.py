@@ -503,7 +503,8 @@ def check_free(
     flags = () if kind == "effective" else (kind,)
     if h.m < e or kind == "trivial":
         return Verdict(True, constraint, flags=flags)
-    if kind == "unsatisfiable":
+    if kind == "unsatisfiable" or _support(h.masks).bit_count() <= v:
+        # any e edges span at most v vertices: the lex-first e are a witness
         witness = tuple(range(e))
         return Verdict(False, constraint, witness, h.union_span(witness), flags)
     systems = span_bounded_systems(h.masks, e, v, budget=budget)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from math import gcd
 
 from .builder import DEFAULT_BUDGET, _run_attempts, plan
-from .errors import BadRange, CertificationFailed, GcdCondition, TooLarge
+from .errors import BadRange, CertificationFailed, TooLarge
 from .freeness import Verdict
 from .hypergraph import Hypergraph, _edge_mask
 
@@ -106,7 +105,8 @@ def construct_ipps(
 
     Freeness of e = floor((t/2+1)^2) edges within e*r - r vertices implies
     the t-identifying property; the deficit denominator e - 1 equals
-    floor(t^2/4) + t, so the ladder needs gcd(floor(t^2/4) + t, r) = 1.
+    floor(t^2/4) + t, so the ladder needs gcd(floor(t^2/4) + t, r) = 1,
+    which `plan` checks as gcd(e - 1, e*r - v) since e*r - v = r.
     The freeness target is the top rung of the ladder certificate that
     the builder checks on its output; the exhaustive identifying check
     additionally runs on outputs within `check_ipps`'s guard.
@@ -116,9 +116,6 @@ def construct_ipps(
     vacuously free yet fail to identify), so the yield floor is raised to e.
     """
     e = link_e(t)
-    denom = e - 1
-    if gcd(denom, r) != 1:
-        raise GcdCondition(f"gcd(floor(t^2/4) + t, r) = gcd({denom}, {r}) != 1")
     v = e * r - r
     params = plan(r, e, v, n, seed=seed, min_expected_edges=min_expected_edges)
     params = replace(params, min_yield=max(params.min_yield, e))

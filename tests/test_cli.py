@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from sparsehg import builder, cli, freeness, lrc, parse_hg
+from sparsehg import builder, cli, errors, freeness, lrc, parse_hg
 from sparsehg.cli import build_parser, main
 
 CYCLE_HG = "7 3 3\n1 2 5\n1 3 7\n2 3 6\n"
@@ -24,6 +25,7 @@ SINGLE_HG = "9 1 3\n1 2 3\n"
 PLANTED_IPPS_HG = "9 4 3\n1 2 4\n1 2 7\n3 5 6\n3 8 9\n"
 CBC_BAD_HG = "6 5 3 multi\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n4 5 6\n"
 CBC_OK_HG = "6 3 3 multi\n1 2 3\n1 2 3\n1 2 3\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +51,30 @@ def test_usage_errors_exit_one(capsys):
     assert main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
                  "--extra", "7:x"]) == 1
     assert main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,x"]) == 1
+
+
+def test_every_error_class_exits_with_its_readme_code(tmp_path, monkeypatch, capsys):
+    # the README's exit-code table names the classes of exits 2-4 and their
+    # base, whose code 1 every other class inherits; main returns the
+    # class's own code
+    table = {}
+    for line in README.read_text().splitlines():
+        if row := re.match(r"\| (\d) +\|", line):
+            table.update((name, int(row.group(1))) for name in re.findall(r"`(\w+)`", line))
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.SparseHgError)]
+    assert set(table) <= {c.__name__ for c in classes}
+    assert sorted(set(table.values())) == [1, 2, 3, 4]
+    (tmp_path / "d.hg").write_text(DISJOINT_HG)
+    for cls in classes:
+        code = table.get(cls.__name__, table["SparseHgError"])
+        assert cls.exit_code == code, cls.__name__
+
+        def planted(text, cls=cls):
+            raise cls("planted")
+
+        monkeypatch.setattr(cli, "parse_hg", planted)
+        assert main(["verify", "d.hg", "--e", "2", "--v", "5"]) == code
+        assert capsys.readouterr().err == f"error: {cls.__name__}: planted\n"
 
 
 def test_construct_writes_three_files(tmp_path, capsys):
@@ -96,6 +122,47 @@ def test_construct_certificate_is_checked_once(tmp_path, monkeypatch):
     assert cert["verdict"] == real(h, freeness.ladder_profile(3, 3, 6)).to_report()
 
 
+def test_construct_exits_4_when_its_certificate_fails(monkeypatch, capsys):
+    # a stand-in ladder check fails the output; the builder raises with
+    # the witness and writes nothing
+    failed = freeness.Verdict(False, freeness.FreenessConstraint(3, 6), (0, 1, 2), 6)
+    monkeypatch.setattr(builder, "check_profile", lambda *args, **kwargs: failed)
+    rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
+               "--seed", "1", "--out", "g.hg"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: CertificationFailed: certification failed on constraint")
+    assert "(0, 1, 2)" in err
+    assert not Path("g.hg").exists()
+
+
+def test_bad_numeric_arguments_exit_1_before_any_work(monkeypatch, capsys):
+    # plan and the budget flag reject these before a sample is drawn or a
+    # code is built, so the stand-ins below must never run
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(builder, "sample", no_work)
+    monkeypatch.setattr(lrc, "construct_lrc", no_work)
+    construct = ["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32"]
+    runs = [
+        (construct + ["--min-expected-edges", "nan"], "finite min_expected_edges >= 0, got nan"),
+        (construct + ["--min-expected-edges", "inf"], "finite min_expected_edges >= 0, got inf"),
+        (construct + ["--min-expected-edges=-inf"], "finite min_expected_edges >= 0, got -inf"),
+        (construct + ["--min-expected-edges", "-1"], "finite min_expected_edges >= 0, got -1.0"),
+        (construct + ["--min-yield", "-5"], "min_yield >= 0, got -5"),
+        (construct + ["--budget", "-1"], "budget >= 0, got -1"),
+        (["lrc", "build", "--q", "23", "--r", "10", "--d", "11", "--m", "2", "--budget", "-1"], "budget >= 0, got -1"),
+    ]
+    for args, why in runs:
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "error: BadRange" in err and why in err
+    monkeypatch.setenv("SPARSEHG_BUDGET", "-2")
+    assert main(construct) == 1
+    assert "budget >= 0, got -2" in capsys.readouterr().err
+
+
 def test_construct_json_report(capsys):
     rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
                "--seed", "1", "--out", "g.hg", "--json"])
@@ -137,6 +204,19 @@ def test_verify_violation_exits_four(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["holds"] is False
     assert report["witness"] == [0, 1, 2]
+
+
+def test_verify_names_the_first_edges_when_the_support_is_small(tmp_path, capsys):
+    # the complete 3-graph on 11 points: any 4 edges span at most 11, so the
+    # lex-first 4 violate (4, 11) without a listing; (4, 10) still lists,
+    # past the default budget
+    triples = itertools.combinations(range(1, 12), 3)
+    (tmp_path / "k11.hg").write_text("11 165 3\n" + "".join(f"{a} {b} {c}\n" for a, b, c in triples))
+    assert main(["verify", "k11.hg", "--e", "4", "--v", "11", "--json"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert (report["witness"], report["spanned"], report["flags"]) == ([0, 1, 2, 3], 6, [])
+    assert main(["verify", "k11.hg", "--e", "4", "--v", "10"]) == 3
+    assert "BudgetExceeded" in capsys.readouterr().err
 
 
 def test_verify_requires_a_mode(tmp_path, capsys):
