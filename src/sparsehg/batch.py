@@ -1,10 +1,11 @@
 """Uniform combinatorial batch codes.
 
-A storage layout replicating n items over m servers, one r-set of items per
-server, can serve any e distinct requests reading one item per server
-exactly when every collection of at most e servers has a system of distinct
-representatives.  By Hall's theorem that is a span condition: every i <= e
-edges must cover at least i vertices.  Both routes are implemented and kept
+A storage layout replicating m items over n servers, each item stored on an
+r-set of servers, can serve any e distinct requests reading at most one item
+per server exactly when every collection of at most e items has a system of
+distinct representatives.  The items are the edges and the servers the
+vertices, so by Hall's theorem that is a span condition: every i <= e edges
+must cover at least i vertices.  Both routes are implemented and kept
 independent: a matching-based SDR check and a span-profile check.
 """
 

@@ -3,8 +3,8 @@
 Subcommands: construct, verify, scaling, ipps, cbc, lrc.  All randomness
 flows from --seed; reruns with identical flags produce byte-identical
 files.  Flags can be set through environment variables with the SPARSEHG_
-prefix (SPARSEHG_SEED, SPARSEHG_JOBS, SPARSEHG_BUDGET, SPARSEHG_JSON); an
-explicit flag wins over the environment.
+prefix (SPARSEHG_SEED, SPARSEHG_JOBS, SPARSEHG_BUDGET, SPARSEHG_JSON), read
+on every call; an explicit flag wins over the environment.
 
 Exit codes: 0 success/holds, 1 usage error, 2 a scaling run with no fit,
 4 verification failed; a library error exits with its class's `exit_code`.
@@ -28,22 +28,21 @@ from . import batch, builder, freeness, ipps, lrc
 from .errors import BadRange, SparseHgError, TooLarge
 from .hypergraph import parse_hg, serialize_hg
 
-ENV_PREFIX = "SPARSEHG_"
-
-
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SparseHgError(f"bad {ENV_PREFIX}{name.upper()}={raw!r}")
-
-
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get(ENV_PREFIX + name.upper(), "")
-    return raw.lower() in ("1", "true", "yes", "on")
+def _env_defaults() -> argparse.Namespace:
+    """The SPARSEHG_* values as the namespace that parse_args fills, read
+    on every call.  The parser gives these flags no default, so a flag on
+    the command line wins; a value that is not an integer is a
+    SparseHgError on every command."""
+    ns = argparse.Namespace(seed=0, budget=None, jobs=1)
+    for name in ("seed", "budget", "jobs"):
+        var = "SPARSEHG_" + name.upper()
+        if (raw := os.environ.get(var)) is not None:
+            try:
+                setattr(ns, name, int(raw))
+            except ValueError:
+                raise SparseHgError(f"bad {var}={raw!r}")
+    ns.json = os.environ.get("SPARSEHG_JSON", "").lower() in ("1", "true", "yes", "on")
+    return ns
 
 
 def _budget(args, fallback: int = builder.DEFAULT_BUDGET) -> int:
@@ -64,11 +63,6 @@ def _emit(report: dict, as_json: bool, lines: list[str], *, sort_keys: bool = Tr
             print(line)
 
 
-def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _read_text(path: str) -> str:
     """The text of an input file; an unreadable or undecodable file is a
     SparseHgError (exit 1)."""
@@ -79,6 +73,16 @@ def _read_text(path: str) -> str:
         raise SparseHgError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise SparseHgError(f"cannot decode {path}: {exc.reason} at byte {exc.start}") from exc
+
+
+def _write_text(path: str, text: str):
+    """Write an output file byte for byte on every platform (no newline
+    translation); an unwritable path is a SparseHgError (exit 1)."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SparseHgError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _params_report(params: builder.ConstructionParams) -> dict:
@@ -118,9 +122,8 @@ def run_construct(args) -> int:
     stem = args.out or f"construct_r{args.r}_e{args.e}_v{args.v}_n{args.n}_seed{args.seed}.hg"
     trace_path = args.trace or stem.removesuffix(".hg") + ".trace.json"
     cert_path = args.cert or stem.removesuffix(".hg") + ".cert.json"
-    with open(stem, "w") as fh:
-        fh.write(serialize_hg(h))
-    _write_json(trace_path, {"schema": 1, **result.trace.to_report()})
+    _write_text(stem, serialize_hg(h))
+    _write_text(trace_path, json.dumps({"schema": 1, **result.trace.to_report()}, sort_keys=True, indent=2) + "\n")
     profile = freeness.ladder_profile(args.r, args.e, args.v)
     verdict = result.certificate
     cert = {
@@ -130,7 +133,7 @@ def run_construct(args) -> int:
         "verdict": verdict.to_report(),
         "yield": h.m,
     }
-    _write_json(cert_path, cert)
+    _write_text(cert_path, json.dumps(cert, sort_keys=True, indent=2) + "\n")
     report = {"schema": 1, "output": stem, "trace": trace_path, "certificate": cert_path, **cert}
     _emit(
         report,
@@ -149,6 +152,8 @@ def run_construct(args) -> int:
 def run_verify(args) -> int:
     h = parse_hg(_read_text(args.file))
     if args.berge is not None:
+        if (args.e, args.v, args.ladder) != (None, None, False):
+            raise SparseHgError("verify --berge T takes no --e, --v or --ladder")
         cycle = freeness.berge_girth(h, args.berge, budget=_budget(args))
         if cycle is None:
             report = {"schema": 1, "mode": "berge", "t_max": args.berge, "holds": True, "girth": None}
@@ -275,8 +280,7 @@ def run_scaling(args) -> int:
         )
     else:
         writer.writerow(["summary", "slope=", f"target={float(target):.6f}", "residual=", f"points={len(medians)}"])
-    with open(args.out, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_text(args.out, buf.getvalue())
 
     # keys in sorted order like every report, but the medians by ascending n
     report = {
@@ -324,8 +328,7 @@ def run_ipps_construct(args) -> int:
         budget=_budget(args),
     )
     out = args.out or f"ipps_r{args.r}_t{args.t}_n{args.n}_seed{args.seed}.hg"
-    with open(out, "w") as fh:
-        fh.write(serialize_hg(h))
+    _write_text(out, serialize_hg(h))
     e = ipps.link_e(args.t)
     report = {"schema": 1, "output": out, "m": h.m, "e": e, "v": e * args.r - args.r}
     _emit(report, args.json, [f"constructed {h.m} edges, wrote {out}"])
@@ -363,21 +366,18 @@ def run_cbc_construct(args) -> int:
         budget=_budget(args),
     )
     out = args.out or f"cbc_r{args.r}_e{args.e}_n{args.n}_seed{args.seed}.hg"
-    with open(out, "w") as fh:
-        fh.write(serialize_hg(h))
+    _write_text(out, serialize_hg(h))
     report = {"schema": 1, "output": out, "m": h.m}
-    _emit(report, args.json, [f"constructed {h.m} servers, wrote {out}"])
+    _emit(report, args.json, [f"constructed {h.m} items, wrote {out}"])
     return 0
 
 
 def run_lrc_build(args) -> int:
     spec = lrc.construct_lrc(args.q, args.r, args.d, args.m, seed=args.seed, budget=_budget(args, lrc.DEFAULT_BUDGET))
     out = args.out or f"lrc_q{args.q}_r{args.r}_d{args.d}_m{args.m}_seed{args.seed}.json"
-    with open(out, "w") as fh:
-        fh.write(spec.to_json())
+    _write_text(out, spec.to_json())
     if args.fqm:
-        with open(args.fqm, "w") as fh:
-            fh.write(lrc.serialize_fqm(lrc.parity_check(spec)))
+        _write_text(args.fqm, lrc.serialize_fqm(lrc.parity_check(spec)))
     report = {"schema": 1, "output": out, "q": spec.q, "r": spec.r, "d": spec.d, "m": spec.m, "n": spec.n}
     _emit(report, args.json, [f"built {spec.m} blocks over F_{spec.q}, wrote {out}"])
     return 0
@@ -426,12 +426,13 @@ def _n_ladder(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
-    common.add_argument("--budget", type=int, default=_env_default("budget", int, None))
-    common.add_argument(
-        "--json", action="store_true", default=_env_flag("json"), help="machine-readable output"
-    )
+    # no defaults: main passes them in from _env_defaults, and a subcommand
+    # would overwrite them with its own
+    seed, budget, report = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    budget.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    report.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output")
+    builds, checks = [seed, budget, report], [budget, report]
 
     parser = argparse.ArgumentParser(
         prog="sparsehg",
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="build a certified span-free hypergraph")
+    p = sub.add_parser("construct", parents=builds, help="build a certified span-free hypergraph")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert")
     p.set_defaults(func=run_construct)
 
-    p = sub.add_parser("verify", parents=[common], help="verify span or cycle freeness")
+    p = sub.add_parser("verify", parents=checks, help="verify span or cycle freeness")
     p.add_argument("file")
     p.add_argument("--e", type=int)
     p.add_argument("--v", type=int)
@@ -461,25 +462,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--berge", type=int, metavar="T", help="search cycles up to length T")
     p.set_defaults(func=run_verify)
 
-    p = sub.add_parser("scaling", parents=[common], help="yield-vs-n experiment with slope fit")
+    p = sub.add_parser("scaling", parents=builds, help="yield-vs-n experiment with slope fit")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--n", type=_n_ladder, required=True, metavar="N1,N2,...")
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=_env_default("jobs", int, 1), help="worker processes")
+    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="worker processes")
     p.add_argument("--timings", action="store_true", help="record wall-clock runtime per cell")
     p.add_argument("--out", default="scaling.csv")
     p.set_defaults(func=run_scaling)
 
     p = sub.add_parser("ipps", help="parent-identifying set systems")
     ipps_sub = p.add_subparsers(dest="subcommand", required=True)
-    p = ipps_sub.add_parser("verify", parents=[common])
+    p = ipps_sub.add_parser("verify", parents=[report])
     p.add_argument("file")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--force", action="store_true", help="override the brute-force guard")
     p.set_defaults(func=run_ipps_verify)
-    p = ipps_sub.add_parser("construct", parents=[common])
+    p = ipps_sub.add_parser("construct", parents=builds)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -489,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cbc", help="combinatorial batch codes")
     cbc_sub = p.add_subparsers(dest="subcommand", required=True)
-    p = cbc_sub.add_parser("verify", parents=[common])
+    p = cbc_sub.add_parser("verify", parents=checks)
     p.add_argument("file")
     p.add_argument("--e", type=int, required=True)
     p.set_defaults(func=run_cbc_verify)
-    p = cbc_sub.add_parser("construct", parents=[common])
+    p = cbc_sub.add_parser("construct", parents=builds)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lrc", help="locally recoverable codes")
     lrc_sub = p.add_subparsers(dest="subcommand", required=True)
-    p = lrc_sub.add_parser("build", parents=[common])
+    p = lrc_sub.add_parser("build", parents=builds)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--fqm", help="also export the parity-check matrix")
     p.set_defaults(func=run_lrc_build)
-    p = lrc_sub.add_parser("verify", parents=[common])
+    p = lrc_sub.add_parser("verify", parents=checks)
     p.add_argument("file")
     p.set_defaults(func=run_lrc_verify)
 
@@ -519,24 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=1)
-def _parser(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
-    """build_parser(), built once per process and again only when `env`,
-    the SPARSEHG_* variables its defaults read, changes: each build costs
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: each build costs
     milliseconds and leaves cyclic garbage."""
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = _parser(tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith(ENV_PREFIX))))
-    except SparseHgError as exc:  # bad environment variable
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; remap
-        return 0 if exc.code in (0, None) else 1
-    try:
+        try:
+            args = _parser().parse_args(argv, _env_defaults())
+        except SystemExit as exc:  # argparse exits 2 on usage errors; remap
+            return 0 if exc.code in (0, None) else 1
         return args.func(args)
     except SparseHgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

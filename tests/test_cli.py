@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from sparsehg import builder, cli, errors, freeness, lrc, parse_hg
-from sparsehg.cli import build_parser, main
+from sparsehg.cli import main
 
 CYCLE_HG = "7 3 3\n1 2 5\n1 3 7\n2 3 6\n"
 DISJOINT_HG = "6 2 3\n1 2 3\n4 5 6\n"
@@ -26,6 +26,28 @@ PLANTED_IPPS_HG = "9 4 3\n1 2 4\n1 2 7\n3 5 6\n3 8 9\n"
 CBC_BAD_HG = "6 5 3 multi\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n4 5 6\n"
 CBC_OK_HG = "6 3 3 multi\n1 2 3\n1 2 3\n1 2 3\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def record_pool_sizes(monkeypatch) -> list[int]:
+    """Replace the process pool by a stand-in that records each pool's
+    worker cap and runs the jobs in this process, starting none."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
 
 
 @pytest.fixture(autouse=True)
@@ -309,8 +331,9 @@ def test_jobs_is_a_scaling_flag(tmp_path, monkeypatch, capsys):
     assert main(["verify", "d.hg", "--e", "2", "--v", "5", "--jobs", "2"]) == 1
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     monkeypatch.setenv("SPARSEHG_JOBS", "2")
-    args = build_parser().parse_args(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64"])
-    assert args.jobs == 2
+    sizes = record_pool_sizes(monkeypatch)
+    assert main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64", "--trials", "1"]) == 0
+    assert sizes == [2]
 
 
 def test_scaling_timings_fill_the_column(tmp_path):
@@ -359,24 +382,8 @@ def test_scaling_parameter_errors_exit_1(capsys):
 
 
 def test_scaling_pool_never_outnumbers_its_jobs(monkeypatch):
-    # a pool may start every worker at once, so the cap is the job count;
-    # a stand-in executor records it without starting any process
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # a pool may start every worker at once, so the cap is the job count
+    sizes = record_pool_sizes(monkeypatch)
     args = ["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64", "--trials", "1"]
     assert main(args + ["--jobs", "8"]) == 0
     assert main(args + ["--jobs", "2"]) == 0
@@ -393,6 +400,7 @@ def test_scaling_rejects_fewer_than_one_job(monkeypatch, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "error: BadRange" in err and "jobs >= 1" in err
+    assert main([*args, "--jobs", "1"]) == 0  # the flag wins
 
 
 def test_negative_seed_exits_1_with_bad_range(monkeypatch, capsys):
@@ -492,7 +500,7 @@ def test_cbc_construct(tmp_path, capsys):
     rc = main(["cbc", "construct", "--r", "3", "--e", "5", "--n", "24",
                "--seed", "1", "--out", "c.hg"])
     assert rc == 0
-    assert "servers" in capsys.readouterr().out
+    assert "items" in capsys.readouterr().out
     assert main(["cbc", "verify", "c.hg", "--e", "5"]) == 0
 
 
@@ -667,6 +675,57 @@ def test_verify_rejects_undecodable_file(tmp_path, capsys, argv):
     assert "cannot decode bad.hg" in err and "Traceback" not in err
 
 
+CONSTRUCT = ["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32"]
+LRC_BUILD = ["lrc", "build", "--q", "23", "--r", "10", "--d", "11", "--m", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*CONSTRUCT, "--out", "nodir/x.hg"],
+        [*CONSTRUCT, "--trace", "adir"],
+        [*CONSTRUCT, "--cert", "nodir/x.cert.json"],
+        ["ipps", "construct", "--r", "3", "--t", "3", "--n", "500", "--seed", "4", "--out", "adir"],
+        ["cbc", "construct", "--r", "3", "--e", "5", "--n", "24", "--seed", "1", "--out", "nodir/x.hg"],
+        [*LRC_BUILD, "--out", "adir"],
+        [*LRC_BUILD, "--fqm", "nodir/x.fqm"],
+        ["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", "32,48,64", "--trials", "1", "--out", "adir"],
+    ],
+)
+def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
+    # a missing directory, or a directory as the path: one error line
+    (tmp_path / "adir").mkdir()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SparseHgError: cannot write {argv[-1]}: ") and err.count("\n") == 1
+
+
+def test_each_flag_only_on_the_commands_that_read_it(tmp_path, monkeypatch, capsys):
+    # verifiers draw no randomness, check_ipps takes no budget, and a Berge
+    # search reads no span profile: each such flag is a usage error
+    (tmp_path / "d.hg").write_text(DISJOINT_HG)
+    runs = [
+        ["verify", "d.hg", "--e", "2", "--v", "5"],
+        ["ipps", "verify", "d.hg", "--t", "2"],
+        ["cbc", "verify", "d.hg", "--e", "2"],
+        ["lrc", "verify", "s.json"],
+    ]
+    for argv in runs:
+        assert main([*argv, "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(runs[1]) == 0
+    assert main([*runs[1], "--budget", "9"]) == 1
+    assert "unrecognized arguments: --budget 9" in capsys.readouterr().err
+    assert main(["verify", "d.hg", "--berge", "3"]) == 0
+    for extra in (["--e", "2"], ["--v", "5"], ["--ladder"]):
+        assert main(["verify", "d.hg", "--berge", "3", *extra]) == 1
+        assert "error: SparseHgError: verify --berge T takes no --e, --v or --ladder" in capsys.readouterr().err
+    # the environment's seed is still read and checked on every command
+    monkeypatch.setenv("SPARSEHG_SEED", "oops")
+    assert main(runs[1]) == 1
+    assert "bad SPARSEHG_SEED" in capsys.readouterr().err
+
+
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
     main(["ipps", "construct", "--r", "3", "--t", "3", "--n", "500",
           "--seed", "4", "--out", "flag.hg"])
@@ -684,8 +743,8 @@ def test_env_bad_value_exits_one(monkeypatch, capsys):
 
 def test_parser_is_built_once_per_environment(tmp_path, monkeypatch, capsys):
     # each build costs milliseconds and leaves cyclic garbage, so main
-    # reuses the parser until a SPARSEHG_* value changes; a bad value still
-    # exits 1 on every call
+    # builds the parser once and reads the SPARSEHG_* values on every call;
+    # a bad value still exits 1 on every call
     builds = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
@@ -705,7 +764,7 @@ def test_parser_is_built_once_per_environment(tmp_path, monkeypatch, capsys):
     for _ in range(2):
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["holds"] is True
-    assert len(builds) == 4
+    assert len(builds) == 1
     cli._parser.cache_clear()
 
 
