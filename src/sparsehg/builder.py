@@ -582,7 +582,7 @@ def _run_attempts(params: ConstructionParams, budget: int) -> ConstructionResult
             extra_verdict = check_free(out, FreenessConstraint(e_j, v_j), budget=budget)
             if not extra_verdict.holds:
                 raise CertificationFailed(
-                    f"certification failed on extra target ({v_j}, {e_j})"
+                    f"certification failed on extra target ({v_j}, {e_j}): {extra_verdict.witness}"
                 )
         return ConstructionResult(out, attempt_params, trace, verdict)
     raise RetriesExhausted(

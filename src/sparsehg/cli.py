@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -31,8 +32,8 @@ from .hypergraph import parse_hg, serialize_hg
 def _env_defaults() -> argparse.Namespace:
     """The SPARSEHG_* values as the namespace that parse_args fills, read
     on every call.  The parser gives these flags no default, so a flag on
-    the command line wins; a value that is not an integer is a
-    SparseHgError on every command."""
+    the command line wins; a bad value (not an integer, or for SPARSEHG_JSON
+    not a yes or no) is a SparseHgError on every command."""
     ns = argparse.Namespace(seed=0, budget=None, jobs=1)
     for name in ("seed", "budget", "jobs"):
         var = "SPARSEHG_" + name.upper()
@@ -41,7 +42,10 @@ def _env_defaults() -> argparse.Namespace:
                 setattr(ns, name, int(raw))
             except ValueError:
                 raise SparseHgError(f"bad {var}={raw!r}")
-    ns.json = os.environ.get("SPARSEHG_JSON", "").lower() in ("1", "true", "yes", "on")
+    raw = os.environ.get("SPARSEHG_JSON", "")
+    ns.json = raw.lower() in ("1", "true", "yes", "on")
+    if not ns.json and raw.lower() not in ("", "0", "false", "no", "off"):
+        raise SparseHgError(f"bad SPARSEHG_JSON={raw!r}")
     return ns
 
 
@@ -51,16 +55,6 @@ def _budget(args, fallback: int = builder.DEFAULT_BUDGET) -> int:
     if args.budget < 0:
         raise BadRange(f"need budget >= 0, got {args.budget}")
     return args.budget
-
-
-def _emit(report: dict, as_json: bool, lines: list[str], *, sort_keys: bool = True):
-    """Print either the JSON report or the prepared human lines.  With
-    sort_keys False the report's keys print in their own order."""
-    if as_json:
-        print(json.dumps(report, sort_keys=sort_keys, indent=2))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _read_text(path: str) -> str:
@@ -75,14 +69,28 @@ def _read_text(path: str) -> str:
         raise SparseHgError(f"cannot decode {path}: {exc.reason} at byte {exc.start}") from exc
 
 
-def _write_text(path: str, text: str):
-    """Write an output file byte for byte on every platform (no newline
-    translation); an unwritable path is a SparseHgError (exit 1)."""
+def _finish(code: int, as_json: bool, report: dict, lines: list[str], files: dict[str, str] | None = None, *, sort_keys: bool = True) -> int:
+    """The one exit of every command: check every output path, write each
+    file byte for byte (no newline translation), then print the JSON report
+    (keys sorted unless sort_keys is False) or the human lines.  A path that
+    is a directory or lies in a missing directory is a SparseHgError
+    (exit 1) before any file is written, so the command leaves no files."""
+    files = files or {}
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        for path in files:
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # its directory exists
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, text in files.items():
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
         raise SparseHgError(f"cannot write {path}: {exc.strerror}") from exc
+    if as_json:
+        print(json.dumps(report, sort_keys=sort_keys, indent=2))
+    else:
+        print(*lines, sep="\n")
+    return code
 
 
 def _params_report(params: builder.ConstructionParams) -> dict:
@@ -122,8 +130,6 @@ def run_construct(args) -> int:
     stem = args.out or f"construct_r{args.r}_e{args.e}_v{args.v}_n{args.n}_seed{args.seed}.hg"
     trace_path = args.trace or stem.removesuffix(".hg") + ".trace.json"
     cert_path = args.cert or stem.removesuffix(".hg") + ".cert.json"
-    _write_text(stem, serialize_hg(h))
-    _write_text(trace_path, json.dumps({"schema": 1, **result.trace.to_report()}, sort_keys=True, indent=2) + "\n")
     profile = freeness.ladder_profile(args.r, args.e, args.v)
     verdict = result.certificate
     cert = {
@@ -133,17 +139,17 @@ def run_construct(args) -> int:
         "verdict": verdict.to_report(),
         "yield": h.m,
     }
-    _write_text(cert_path, json.dumps(cert, sort_keys=True, indent=2) + "\n")
     report = {"schema": 1, "output": stem, "trace": trace_path, "certificate": cert_path, **cert}
-    _emit(
-        report,
-        args.json,
-        [
-            f"constructed {h.m} edges on {h.n} vertices (seed {result.params.seed})",
-            f"wrote {stem}, {trace_path}, {cert_path}",
-        ],
-    )
-    return 0
+    lines = [
+        f"constructed {h.m} edges on {h.n} vertices (seed {result.params.seed})",
+        f"wrote {stem}, {trace_path}, {cert_path}",
+    ]
+    files = {
+        stem: serialize_hg(h),
+        trace_path: json.dumps({"schema": 1, **result.trace.to_report()}, sort_keys=True, indent=2) + "\n",
+        cert_path: json.dumps(cert, sort_keys=True, indent=2) + "\n",
+    }
+    return _finish(0, args.json, report, lines, files)
 
 
 # --- verify ------------------------------------------------------------
@@ -157,8 +163,7 @@ def run_verify(args) -> int:
         cycle = freeness.berge_girth(h, args.berge, budget=_budget(args))
         if cycle is None:
             report = {"schema": 1, "mode": "berge", "t_max": args.berge, "holds": True, "girth": None}
-            _emit(report, args.json, [f"no cycle of length <= {args.berge}: holds"])
-            return 0
+            return _finish(0, args.json, report, [f"no cycle of length <= {args.berge}: holds"])
         report = {
             "schema": 1,
             "mode": "berge",
@@ -167,12 +172,8 @@ def run_verify(args) -> int:
             "girth": cycle.length,
             "witness": {"vertices": list(cycle.vertices), "edges": list(cycle.edges)},
         }
-        _emit(
-            report,
-            args.json,
-            [f"cycle of length {cycle.length}: vertices {cycle.vertices}, edges {cycle.edges}"],
-        )
-        return 4
+        lines = [f"cycle of length {cycle.length}: vertices {cycle.vertices}, edges {cycle.edges}"]
+        return _finish(4, args.json, report, lines)
     if args.e is None or args.v is None:
         raise SparseHgError("verify needs --berge T, or --e and --v")
     if args.ladder:
@@ -187,8 +188,7 @@ def run_verify(args) -> int:
         **verdict.to_report(),
     }
     lines = [f"profile {[(c.e, c.v) for c in profile.constraints]}: " + ("holds" if verdict.holds else f"violated by edges {verdict.witness} spanning {verdict.spanned}")]
-    _emit(report, args.json, lines)
-    return 0 if verdict.holds else 4
+    return _finish(0 if verdict.holds else 4, args.json, report, lines)
 
 
 # --- scaling -----------------------------------------------------------
@@ -280,7 +280,6 @@ def run_scaling(args) -> int:
         )
     else:
         writer.writerow(["summary", "slope=", f"target={float(target):.6f}", "residual=", f"points={len(medians)}"])
-    _write_text(args.out, buf.getvalue())
 
     # keys in sorted order like every report, but the medians by ascending n
     report = {
@@ -291,19 +290,12 @@ def run_scaling(args) -> int:
         "slope": round(slope, 6) if slope is not None else None,
         "target": float(target),
     }
-    _emit(
-        report,
-        args.json,
-        [
-            f"medians: {medians}",
-            f"slope {slope:.4f} vs target {float(target):.4f}" if slope is not None else "no fit: fewer than 3 n values with yields",
-            f"wrote {args.out}",
-        ],
-        sort_keys=False,
-    )
-    if slope is None:
-        return 2
-    return 0
+    lines = [
+        f"medians: {medians}",
+        f"slope {slope:.4f} vs target {float(target):.4f}" if slope is not None else "no fit: fewer than 3 n values with yields",
+        f"wrote {args.out}",
+    ]
+    return _finish(0 if slope is not None else 2, args.json, report, lines, {args.out: buf.getvalue()}, sort_keys=False)
 
 
 # --- ipps / cbc / lrc --------------------------------------------------
@@ -314,8 +306,7 @@ def run_ipps_verify(args) -> int:
     verdict = ipps.check_ipps(h, args.t, force=args.force)
     report = {"schema": 1, **verdict.to_report()}
     lines = ["identifying-parents property holds" if verdict.holds else f"violated: {verdict.witness}"]
-    _emit(report, args.json, lines)
-    return 0 if verdict.holds else 4
+    return _finish(0 if verdict.holds else 4, args.json, report, lines)
 
 
 def run_ipps_construct(args) -> int:
@@ -328,11 +319,9 @@ def run_ipps_construct(args) -> int:
         budget=_budget(args),
     )
     out = args.out or f"ipps_r{args.r}_t{args.t}_n{args.n}_seed{args.seed}.hg"
-    _write_text(out, serialize_hg(h))
     e = ipps.link_e(args.t)
     report = {"schema": 1, "output": out, "m": h.m, "e": e, "v": e * args.r - args.r}
-    _emit(report, args.json, [f"constructed {h.m} edges, wrote {out}"])
-    return 0
+    return _finish(0, args.json, report, [f"constructed {h.m} edges, wrote {out}"], {out: serialize_hg(h)})
 
 
 def run_cbc_verify(args) -> int:
@@ -342,18 +331,17 @@ def run_cbc_verify(args) -> int:
         cross = batch.check_sdr_all(h, args.e)
     except TooLarge:
         cross = None  # beyond the matching check's guard: no cross-check
+    if cross is not None and cross.holds != verdict.holds:
+        raise SparseHgError("distinct-representative and span checks disagree")
     report = {"schema": 1, **verdict.to_report()}
     if cross is not None:
-        report["sdr_agrees"] = cross.holds == verdict.holds
+        report["sdr_agrees"] = True
     lines = [
         "serves any %d requests" % args.e
         if verdict.holds
         else f"deficient subset {verdict.witness} spans {verdict.spanned}"
     ]
-    _emit(report, args.json, lines)
-    if cross is not None and cross.holds != verdict.holds:
-        raise SparseHgError("distinct-representative and span checks disagree")
-    return 0 if verdict.holds else 4
+    return _finish(0 if verdict.holds else 4, args.json, report, lines)
 
 
 def run_cbc_construct(args) -> int:
@@ -366,21 +354,18 @@ def run_cbc_construct(args) -> int:
         budget=_budget(args),
     )
     out = args.out or f"cbc_r{args.r}_e{args.e}_n{args.n}_seed{args.seed}.hg"
-    _write_text(out, serialize_hg(h))
     report = {"schema": 1, "output": out, "m": h.m}
-    _emit(report, args.json, [f"constructed {h.m} items, wrote {out}"])
-    return 0
+    return _finish(0, args.json, report, [f"constructed {h.m} items, wrote {out}"], {out: serialize_hg(h)})
 
 
 def run_lrc_build(args) -> int:
     spec = lrc.construct_lrc(args.q, args.r, args.d, args.m, seed=args.seed, budget=_budget(args, lrc.DEFAULT_BUDGET))
     out = args.out or f"lrc_q{args.q}_r{args.r}_d{args.d}_m{args.m}_seed{args.seed}.json"
-    _write_text(out, spec.to_json())
+    files = {out: spec.to_json()}
     if args.fqm:
-        _write_text(args.fqm, lrc.serialize_fqm(lrc.parity_check(spec)))
+        files[args.fqm] = lrc.serialize_fqm(lrc.parity_check(spec))
     report = {"schema": 1, "output": out, "q": spec.q, "r": spec.r, "d": spec.d, "m": spec.m, "n": spec.n}
-    _emit(report, args.json, [f"built {spec.m} blocks over F_{spec.q}, wrote {out}"])
-    return 0
+    return _finish(0, args.json, report, [f"built {spec.m} blocks over F_{spec.q}, wrote {out}"], files)
 
 
 def run_lrc_verify(args) -> int:
@@ -403,8 +388,7 @@ def run_lrc_verify(args) -> int:
         lines.append("warning: code side and combinatorial side disagree")
     for flag in report_obj.flags:
         lines.append(f"warning: {flag}")
-    _emit(report, args.json, lines)
-    return 0 if holds else 4
+    return _finish(0 if holds else 4, args.json, report, lines)
 
 
 # --- parser ------------------------------------------------------------

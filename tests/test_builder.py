@@ -14,6 +14,7 @@ from sparsehg import (
     Degenerate,
     DegenerateP,
     GcdCondition,
+    NotLinear,
     RetriesExhausted,
     TargetOrdering,
     alter,
@@ -410,6 +411,15 @@ def test_aux_empty_when_no_bad_systems():
     aux = build_aux(h1, params, systems=())
     assert aux.edges == ()
     assert independent_set(aux, seed=0) == tuple(range(3))
+
+
+def test_aux_rejects_systems_that_share_a_pair():
+    # alter leaves no two bad systems sharing two edges; a list that does
+    # is an internal failure, not an aux graph
+    params = plan(3, 3, 6, 9)
+    h1 = canonicalize([[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 2, 6]], 9)
+    with pytest.raises(NotLinear, match=r"share two vertices: pair \(0, 1\)"):
+        build_aux(h1, params, systems=((0, 1, 2), (0, 1, 3)))
 
 
 def test_aux_edges_revalidate_and_linear():

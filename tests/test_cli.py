@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from sparsehg import builder, cli, errors, freeness, lrc, parse_hg
+from sparsehg import batch, builder, cli, errors, freeness, lrc, parse_hg
 from sparsehg.cli import main
 
 CYCLE_HG = "7 3 3\n1 2 5\n1 3 7\n2 3 6\n"
@@ -156,6 +156,41 @@ def test_construct_exits_4_when_its_certificate_fails(monkeypatch, capsys):
     assert err.startswith("error: CertificationFailed: certification failed on constraint")
     assert "(0, 1, 2)" in err
     assert not Path("g.hg").exists()
+
+
+def test_construct_exits_4_when_an_extra_target_fails(monkeypatch, capsys):
+    # a stand-in check fails the extra target (7, 4): exit 4 names the
+    # witness edges, as the ladder's failure does, and writes nothing
+    failed = freeness.Verdict(False, freeness.FreenessConstraint(4, 7), (0, 1, 2, 3), 7)
+    monkeypatch.setattr(builder, "check_free", lambda *args, **kwargs: failed)
+    rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
+               "--seed", "1", "--extra", "7:4", "--out", "g.hg"])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "error: CertificationFailed: certification failed on extra target (7, 4): (0, 1, 2, 3)\n"
+    )
+    assert not Path("g.hg").exists()
+
+
+def test_lrc_build_exits_4_when_its_code_is_not_optimal(monkeypatch, capsys):
+    # a stand-in distance check reports d = 10 against the bound 11
+    failed = freeness.Verdict(False, None, (11, 11, 10), 10)
+    monkeypatch.setattr(lrc, "check_optimal", lambda *args, **kwargs: failed)
+    assert main([*LRC_BUILD, "--out", "c.json"]) == 4
+    assert capsys.readouterr().err == (
+        "error: CertificationFailed: certification failed: (k, bound, d_actual) = (11, 11, 10)\n"
+    )
+    assert not Path("c.json").exists()
+
+
+def test_cbc_verify_exits_1_when_its_checks_disagree(tmp_path, monkeypatch, capsys):
+    # a stand-in matching check contradicts the span check: no report, one
+    # error line
+    (tmp_path / "ok.hg").write_text(CBC_OK_HG)
+    monkeypatch.setattr(batch, "check_sdr_all", lambda *args, **kwargs: freeness.Verdict(False))
+    for json_flag in ([], ["--json"]):
+        assert main(["cbc", "verify", "ok.hg", "--e", "3", *json_flag]) == 1
+        assert capsys.readouterr() == ("", "error: SparseHgError: distinct-representative and span checks disagree\n")
 
 
 def test_bad_numeric_arguments_exit_1_before_any_work(monkeypatch, capsys):
@@ -693,11 +728,15 @@ LRC_BUILD = ["lrc", "build", "--q", "23", "--r", "10", "--d", "11", "--m", "2"]
     ],
 )
 def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
-    # a missing directory, or a directory as the path: one error line
+    # a missing directory, or a directory as the path: one error line, and
+    # none of the command's other files is left behind
     (tmp_path / "adir").mkdir()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: SparseHgError: cannot write {argv[-1]}: ") and err.count("\n") == 1
+    reason = "Is a directory" if argv[-1] == "adir" else "No such file or directory"
+    assert err == f"error: SparseHgError: cannot write {argv[-1]}: {reason}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_each_flag_only_on_the_commands_that_read_it(tmp_path, monkeypatch, capsys):
@@ -770,6 +809,18 @@ def test_parser_is_built_once_per_environment(tmp_path, monkeypatch, capsys):
 
 def test_env_json_flag(tmp_path, monkeypatch, capsys):
     (tmp_path / "d.hg").write_text(DISJOINT_HG)
-    monkeypatch.setenv("SPARSEHG_JSON", "1")
-    assert main(["verify", "d.hg", "--e", "2", "--v", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["holds"] is True
+    argv = ["verify", "d.hg", "--e", "2", "--v", "5"]
+    for raw in ("1", "TRUE", "yes", "On"):
+        monkeypatch.setenv("SPARSEHG_JSON", raw)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+    for raw in ("", "0", "False", "NO", "off"):
+        monkeypatch.setenv("SPARSEHG_JSON", raw)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "profile [(2, 5)]: holds\n"
+    # any other value exits 1 on every command, as a bad SPARSEHG_SEED does
+    for raw in ("ture", "2"):
+        monkeypatch.setenv("SPARSEHG_JSON", raw)
+        for run in (argv, ["--help"], ["cbc", "verify", "d.hg", "--e", "2"]):
+            assert main(run) == 1
+            assert capsys.readouterr() == ("", f"error: SparseHgError: bad SPARSEHG_JSON={raw!r}\n")
