@@ -128,32 +128,39 @@ def _work_dtype(q: int):
     return next(t for t in (np.int16, np.int32, np.int64) if (q - 1) ** 2 <= np.iinfo(t).max)
 
 
-def _eliminate(x: np.ndarray, q: int) -> np.ndarray:
+def _eliminate(x: np.ndarray, q: int, out: np.ndarray) -> None:
     """Contract column 0 of x, an array (rows, columns, states) in the work
     dtype that the caller owns, with column 0 nonzero in every state: the
-    later columns of each state reduced against it, one row fewer.
+    later columns of each state reduced against it, one row fewer, are
+    written to out, of shape (rows - 1, columns - 1, states) in any integer
+    dtype that holds a residue (the work dtype, or the search's storage
+    dtype, so that a step writes its states straight where they are kept).
 
     Row operations keep a state's column dependencies, so x[0] first takes
     on later rows until its entry p in column 0 is nonzero: row i is added
     to all of x[0], times 1 in the states whose pivot is still zero and 0
     in the rest, and reduced mod q in place, so the other states' residues
     come back unchanged and no state is gathered by a mask (a sum of two
-    residues fits every work dtype).  On return x[0] is the pivot row.
-    Each later row y then becomes p*y - y_0*x[0], p times the usual
-    reduction (scaling keeps the dependencies too, and needs no inverse).
-    Nothing here copies x.
+    residues fits every work dtype).  On return x[0] is the pivot row and
+    the later rows of x are unchanged.  Each later row y then becomes
+    p*y - y_0*x[0], p times the usual reduction (scaling keeps the
+    dependencies too, and needs no inverse).  Besides that product, one
+    temporary of its size holds y_0*x[0] and then q times the quotient,
+    and the remainder goes straight into out.  Nothing here copies x.
     """
     row0 = x[0]
     for i in range(1, len(x)):
-        fix = row0[0] == 0
-        if not fix.any():
+        if np.count_nonzero(row0[0]) == row0.shape[1]:
             break
-        row0 += x[i] * fix
+        row0 += x[i] * (row0[0] == 0)
         row0 -= row0 // q * q
     e = row0[:1] * x[1:, 1:]
-    e -= x[1:, :1] * row0[1:]
-    e -= e // q * q  # e %= q, but numpy divides faster than it takes remainders
-    return e
+    t = x[1:, :1] * row0[1:]
+    e -= t
+    # e mod q, but numpy divides faster than it takes remainders
+    np.floor_divide(e, q, out=t)
+    t *= q
+    np.subtract(e, t, out=out, casting="unsafe")
 
 
 def _row_basis(m: FqMatrix) -> np.ndarray:
@@ -165,8 +172,9 @@ def _row_basis(m: FqMatrix) -> np.ndarray:
     basis = np.zeros((min(m.rows, m.cols), m.cols), x.dtype)
     r = 0
     for c in range(m.cols):
-        if (x[:, 0] != 0).any():
-            rest = _eliminate(x, q)
+        if np.count_nonzero(x[:, 0]):
+            rest = np.empty((len(x) - 1, x.shape[1] - 1, 1), x.dtype)
+            _eliminate(x, q, rest)
             basis[r, c:] = x[0, :, 0]
             x, r = rest, r + 1
         else:
@@ -291,10 +299,6 @@ def parity_check(spec: LrcSpec) -> FqMatrix:
     return fq_matrix(field, top + bottom)
 
 
-def code_dimension(spec: LrcSpec) -> int:
-    return spec.n - rank(parity_check(spec))
-
-
 _FRONTIER_BYTES = 1 << 20
 """Cap on the bytes of stored search states, whatever the budget.  The
 temporaries of one elimination step take what the stored states leave of
@@ -333,11 +337,17 @@ class _ColumnSearch:
     rank-1 update per batch of them extends these states by column c, for
     c < n - 1 only: a state of max(T) = n - 1 keeps no column.  A batch
     takes as many states as the stored levels leave room for in twice
-    _FRONTIER_BYTES, so that few, long updates build a level.  Each batch
-    is tested for a zero column as soon as it is built, so the next level
-    scans only the groups a batch found one in (and the prefix's own
-    level).  States run along the last axis so that numpy's inner loops
-    are long.
+    _FRONTIER_BYTES, so that few, long updates build a level, and is
+    gathered by one concatenation of the parent groups it overlaps (a
+    group's states start in the child where the groups below it end).
+    _eliminate writes each batch straight into its slice of the child, in
+    the storage dtype, so no state is copied after it is reduced.  Each
+    child is tested for a zero column as soon as it is built, on what it
+    stores, so the next level scans only the groups found to hold one (and
+    the prefix's own level), and reads the lex-first dependent set off the
+    first zero column of each such state, with one colex unranking for the
+    whole level.  States run along the last axis so that numpy's inner
+    loops are long.
 
     The search runs once, from the empty prefix.  A prefix whose sets
     would not fit in _FRONTIER_BYTES is split by its next column: P + (f,)
@@ -386,11 +396,12 @@ class _ColumnSearch:
             if self._peak(base, rank, f) <= _FRONTIER_BYTES:
                 self._slab(prefix, state[:, f - lo :], f)
                 return
-            if not (state[:, f - lo] != 0).any():
+            if not np.count_nonzero(state[:, f - lo]):
                 self._found(prefix + (f,))
             elif f < self.n - 1:  # P + (n - 1,) keeps no column to search
-                child = _eliminate(state[:, f - lo :, None].astype(self.work), self.q)
-                self._prefix(prefix + (f,), child[:, :, 0].astype(self.dtype), f + 1)
+                child = np.empty((rank - 1, self.n - 1 - f, 1), self.dtype)
+                _eliminate(state[:, f - lo :, None].astype(self.work), self.q, child)
+                self._prefix(prefix + (f,), child[:, :, 0], f + 1)
 
     def _slab(self, prefix, state, lo: int) -> None:
         """Every prefix + T with min(T) >= lo, below the best size, level
@@ -398,84 +409,91 @@ class _ColumnSearch:
         Groups are keyed by max(T); level 0 is the prefix itself, keyed
         lo - 1."""
         n, base = self.n, len(prefix)
-        groups = {lo - 1: state[:, :, None]}
-        clear: set[int] = set()  # groups whose batches hold no zero column
+        groups = [(lo - 1, state[:, :, None])]  # (max(T), states), by key
+        clear: set[int] = set()  # groups that hold no zero column
         held = state.nbytes  # bytes of the stored levels
         j = 0
         while groups and base + j + 1 < self.best:
-            # zero columns of the whole level before any child is built:
-            # the lex-first dependent set of each group, then of the level
-            hits = []
-            for l, x in groups.items():
-                if l in clear:
-                    continue
-                t, idx = np.nonzero(~(x != 0).any(axis=0))
-                if len(t):
-                    sets = self._unrank(lo, j, l, l + 1 + t, idx)
-                    hits.append(tuple(int(a) for a in sets[np.lexsort(sets.T[::-1])[0]]))
-            if hits:
-                self._found(prefix + min(hits))
+            # zero columns of the whole level before any child is built
+            hit = self._first_zero(lo, j, groups, clear)
+            if hit is not None:
+                self._found(prefix + hit)
                 return
             if base + j + 2 == self.best:
                 return  # the last level searched is never stored
             height = len(state) - j  # rows of each parent state
-            keys = sorted(groups)
-            children: dict[int, np.ndarray] = {}
-            clear = set()
+            # every child takes the groups below it whole, in key order, so
+            # group l ends at state C(l + 1 - lo, j) of each, after the
+            # j-sets with max(T) <= l (hockey stick)
+            ends = [math.comb(l + 1 - lo, j) for l, _ in groups]
+            parents = [(l, x, t - x.shape[2], t) for (l, x), t in zip(groups, ends)]
+            groups, clear = [], set()
             # descending c, so each parent group is freed after its last
             # child; no child at c = n - 1, which would keep no column
-            for c in reversed(range(keys[0] + 1, n - 1)):
-                while keys[-1] >= c:
-                    held -= groups.pop(keys.pop()).nbytes
-                child = np.empty((height - 1, n - 1 - c, math.comb(c - lo, j)), self.dtype)
+            for c in reversed(range(parents[0][0] + 1, n - 1)):
+                while parents[-1][0] >= c:
+                    held -= parents.pop()[1].nbytes
+                total = math.comb(c - lo, j)
+                child = np.empty((height - 1, n - 1 - c, total), self.dtype)
                 held += child.nbytes
                 self.peak = max(self.peak, held)
                 # the parents' columns from c on, width n - c each, gathered
                 # in batches of at most step states, in what the stored
-                # levels leave of twice the cap: at most four arrays of a
-                # batch's size live at once, the batch and, in _eliminate,
-                # the child and at most two temporaries.  The pivot fix's
-                # temporaries are one row each, the zero-column test's one
-                # row of booleans
+                # levels leave of twice the cap.  The step is sized for four
+                # arrays of a batch's size; three live at once, the batch and
+                # _eliminate's two temporaries, as each batch is eliminated
+                # straight into its slice of the child.  The pivot fix's
+                # temporaries are one row each, as is the zero-column test's
                 per_state = np.dtype(self.work).itemsize * max(1, height * (n - c))
                 step = max(1, (2 * _FRONTIER_BYTES - held) // (4 * per_state))
-                batches, batch, filled = [], [], 0
-                for l in keys:
-                    x = groups[l][:, c - l - 1 :]
-                    s = 0
-                    while s < x.shape[2]:
-                        take = min(step - filled, x.shape[2] - s)
-                        batch.append(x[:, :, s : s + take])
-                        s += take
-                        filled += take
-                        if filled == step:
-                            batches.append(batch)
-                            batch, filled = [], 0
-                if batch:
-                    batches.append(batch)
-                at, zero_free = 0, True
-                for batch in batches:
+                for at in range(0, total, step):
+                    end = min(at + step, total)
                     # a new array even for one piece: _eliminate overwrites x[0]
-                    x = np.concatenate(batch, axis=2, dtype=self.work)
-                    e = _eliminate(x, self.q)
-                    # a batch with no rows has every column zero: not clear
-                    zero_free = zero_free and bool(np.logical_or.reduce(e, axis=0).all())
-                    child[:, :, at : at + x.shape[2]] = e
-                    at += x.shape[2]
-                    del x, e  # freed before the next batch is gathered
-                children[c] = child
-                if zero_free:
-                    clear.add(c)
-            held -= sum(x.nbytes for x in groups.values())
-            groups = children
+                    x = np.concatenate(
+                        [g[:, c - l - 1 :, max(at - s, 0) : end - s] for l, g, s, t in parents if s < end and at < t],
+                        axis=2,
+                        dtype=self.work,
+                    )
+                    _eliminate(x, self.q, child[:, :, at:end])
+                    del x  # freed before the next batch is gathered
+                groups.append((c, child))
+                # a child with no rows has every column zero: not clear
+                if height > 1:
+                    top = np.maximum.reduce(child, axis=0)
+                    if np.count_nonzero(top) == top.size:
+                        clear.add(c)
+            held -= sum(x.nbytes for _, x, _, _ in parents)
+            del parents  # frees the first group, which every child took
+            groups.reverse()
             j += 1
 
+    def _first_zero(self, lo: int, j: int, groups, clear) -> tuple[int, ...] | None:
+        """The lex-first set T + {c} of level j whose state has a zero
+        column c, or None: the first zero column of each state that has
+        one (its lex-first set), then the lex-first of these sets over the
+        groups not in clear, with one colex unranking for all of them."""
+        zeros = []  # (max(T), first zero column, state) by group
+        for l, x in groups:
+            if l not in clear:
+                zero = ~(x != 0).any(axis=0)
+                idx = np.flatnonzero(zero.any(axis=0))
+                if len(idx):
+                    zeros.append((np.full(len(idx), l), l + 1 + zero[:, idx].argmax(axis=0), idx))
+        if not zeros:
+            return None
+        sets = self._unrank(lo, j, *map(np.concatenate, zip(*zeros)))
+        for k in range(sets.shape[1]):
+            sets = sets[sets[:, k] == sets[:, k].min()]
+        return tuple(int(a) for a in sets[0])
+
     @staticmethod
-    def _unrank(lo: int, j: int, l: int, cs, idx) -> np.ndarray:
-        """The sets T + {c}, one row each, for states idx of group l at
-        level j with zero column c.  T is l plus the (j - 1)-subset of
-        lo..l-1 with colex rank idx, read off by `_colex_unrank`."""
-        head = [lo + _colex_unrank(idx, j - 1, l - lo), np.full((len(idx), 1), l)] if j else []
+    def _unrank(lo: int, j: int, l, cs, idx) -> np.ndarray:
+        """The sets T + {c}, one row each, for states idx of groups l (one
+        key, or one per state) at level j with zero column c.  T is l plus
+        the (j - 1)-subset of lo..l-1 with colex rank idx, read off by
+        `_colex_unrank`, which reads the same subset off any larger range."""
+        l = np.broadcast_to(l, np.shape(idx))
+        head = [lo + _colex_unrank(idx, j - 1, int(l.max()) - lo), l[:, None]] if j else []
         return np.hstack([*head, cs[:, None]])
 
 
@@ -713,20 +731,29 @@ def construct_lrc(
         raise BadRange(f"need target_m >= 1, got {target_m}")
     if q < r + 2:
         raise BadRange(f"field too small: need q >= r + 2 = {r + 2}")
+    width = r + 1
     # pairwise overlaps <= 1 force m(r+1) - C(m,2) distinct points at most q
-    needed = target_m * (r + 1) - target_m * (target_m - 1) // 2
+    needed = target_m * width - target_m * (target_m - 1) // 2
     if needed > q:
         raise InsufficientYield(
-            f"{target_m} blocks of size {r + 1} overlapping pairwise in at most "
+            f"{target_m} blocks of size {width} overlapping pairwise in at most "
             f"one point need {needed} > q = {q} field elements"
         )
+    # and put each pair of points in at most one block
+    pairs = target_m * math.comb(width, 2)
+    if pairs > math.comb(q, 2):
+        raise InsufficientYield(
+            f"{target_m} blocks of size {width} overlapping pairwise in at most "
+            f"one point cover {pairs} > C({q}, 2) = {math.comb(q, 2)} pairs of field elements"
+        )
+    population = math.comb(q, width)
+    if population > 2**62:
+        raise BadRange(f"C({q},{width}) candidate blocks exceed the sampler's limit of 2**62")
     t = (d - 1) // 2
     # the first surviving block is the lexicographically first sample;
     # each further sample survives the overlap sweep with probability
     # p_compat = P(two random (r+1)-subsets of F_q share <= 1 point),
     # so the sample floor scales with 1/p_compat at tight fields
-    width = r + 1
-    population = math.comb(q, width)
     compatible = math.comb(q - width, width) + width * math.comb(q - width, r)
     # at q <= 2r no two blocks are compatible, so only one can survive
     p_compat = compatible / population

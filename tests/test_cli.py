@@ -602,6 +602,23 @@ def test_lrc_build_counting_bound(capsys):
     assert "InsufficientYield" in capsys.readouterr().err
 
 
+def test_lrc_build_rejects_unbuildable_inputs_up_front(tmp_path, capsys):
+    # each pair of field elements lies in at most one block, so m >= 5
+    # blocks of 11 cannot fit in F_23, and the builder, whose budget or
+    # sweep such an m exhausts, must not run; a field whose C(q, r + 1)
+    # candidate blocks are past the sampler's 2**62 is a bad range, caught
+    # before the sampling floor's float arithmetic overflows
+    build = ["lrc", "build", "--q", "23", "--r", "10", "--d", "11", "--m"]
+    for m in ("21", "2000", "100000"):
+        assert main(build + [m]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InsufficientYield: ") and "> C(23, 2) = 253 pairs" in err
+    assert main(["lrc", "build", "--q", "1000003", "--r", "1000", "--d", "11", "--m", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: BadRange: C(1000003,1001) candidate blocks exceed the sampler's limit of 2**62\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lrc_build_writes_a_spec_that_verifies(tmp_path, capsys):
     rc = main(["lrc", "build", "--q", "23", "--r", "10", "--d", "11", "--m", "2",
                "--out", "spec.json", "--fqm", "spec.fqm"])

@@ -235,8 +235,8 @@ def test_parity_check_structure():
 
 
 def test_code_dimension():
-    assert lrc.code_dimension(SMALL) == 3
-    assert lrc.code_dimension(FLAGSHIP) == 11
+    for spec, k in ((SMALL, 3), (FLAGSHIP, 11)):
+        assert spec.n - lrc.rank(lrc.parity_check(spec)) == k
 
 
 def test_min_distance_small_cases():
@@ -358,7 +358,8 @@ def test_batched_elimination_contracts_the_column_exactly(rng, q):
                 row[-1] = (a * row[0] + b * row[1]) % q
             states.append(state)
         x = np.array(states, dtype=lrc._work_dtype(q)).transpose(1, 2, 0)
-        child = lrc._eliminate(x, q)
+        child = np.empty((rows - 1, cols - 1, len(states)), x.dtype)
+        lrc._eliminate(x, q, child)
         for i, state in enumerate(states):
             pivot = [int(v) for v in x[0, :, i]]
             reduced = [[int(v) for v in row] for row in child[:, :, i]]
@@ -373,15 +374,17 @@ def test_batched_elimination_contracts_the_column_exactly(rng, q):
                     assert oracles.rank_mod(alone, q) == oracles.rank_mod(with_0, q) - 1
 
 
-@pytest.mark.parametrize("q", [2, 181, 46337, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("q", [2, 23, 181, 46337, 2**31 - 1, 2**61 - 1])
 def test_eliminate_matches_the_masked_loop_reference(rng, q):
     # the pivot fix adds a later row to all of x[0], times 0 where the
-    # pivot is already nonzero, and reduces in place; child, pivot row and
-    # dtype must equal a state-by-state masked loop's, for every work dtype
-    # (int16, int32, int64, Python integers) and with the first nonzero
-    # pivot entry in any row, so that the fix needs 0 to h - 1 later rows
+    # pivot is already nonzero, and reduces in place; the rows written to
+    # the destination, in the work dtype or in the search's storage dtype,
+    # and the pivot row must equal a state-by-state masked loop's, for
+    # every work dtype (int16, int32, int64, Python integers) and with the
+    # first nonzero pivot entry in any row, so that the fix needs 0 to
+    # h - 1 later rows
     values = [0, 1, q - 2, q - 1]
-    for _ in range(40):
+    for i in range(40):
         h, w, states = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 12)
         x = np.array(
             [[[rng.choice(values + [rng.randrange(q)]) for _ in range(states)] for _ in range(w)] for _ in range(h)],
@@ -392,9 +395,11 @@ def test_eliminate_matches_the_masked_loop_reference(rng, q):
             x[:k, 0, s] = 0
             x[k, 0, s] = rng.choice([1, q - 1, rng.randrange(1, q)])
         y = x.copy()
-        child = lrc._eliminate(x, q)
+        dtype = lrc._work_dtype(q) if i % 2 else lrc._storage_dtype(q)
+        child = np.empty((h - 1, w - 1, states), dtype)
+        lrc._eliminate(x, q, child)
         expected = oracles.eliminate_states(y, q)
-        assert child.dtype == expected.dtype == np.dtype(lrc._work_dtype(q))
+        assert expected.dtype == np.dtype(lrc._work_dtype(q))
         assert child.shape == expected.shape
         assert np.array_equal(child, expected)
         assert np.array_equal(x, y)  # the same pivot rows, later rows untouched
@@ -414,7 +419,7 @@ def test_column_search_tests_each_batch_it_builds(rng, monkeypatch, cap):
     monkeypatch.setattr(lrc, "_FRONTIER_BYTES", cap)
     shapes = []
     real = lrc._eliminate
-    monkeypatch.setattr(lrc, "_eliminate", lambda x, q: shapes.append(x.shape) or real(x, q))
+    monkeypatch.setattr(lrc, "_eliminate", lambda x, q, out: shapes.append(x.shape) or real(x, q, out))
     for i in range(60):
         q = rng.choice([23, 46337, 2**31 - 1, 2**61 - 1])
         k = rng.randint(1, 4)
@@ -625,7 +630,7 @@ def test_flagship_search_makes_few_long_eliminations(monkeypatch):
     # of the cap made 839, and the former 256 KiB cap 2,496
     widths = []
     real = lrc._eliminate
-    monkeypatch.setattr(lrc, "_eliminate", lambda x, q: widths.append(x.shape[1]) or real(x, q))
+    monkeypatch.setattr(lrc, "_eliminate", lambda x, q, out: widths.append(x.shape[1]) or real(x, q, out))
     for spec, distance, calls in ((FLAGSHIP, 11, 525), (PLANTED, 4, 178)):
         widths.clear()
         assert lrc.min_distance(lrc.parity_check(spec)) == distance
@@ -764,6 +769,38 @@ def test_construct_lrc_counting_bound():
     with pytest.raises(InsufficientYield) as exc:
         lrc.construct_lrc(23, 10, 11, 3)
     assert "30 > q = 23" in str(exc.value)
+
+
+def test_construct_lrc_pair_packing_bound(monkeypatch):
+    # blocks meeting pairwise in at most one point hold each pair of field
+    # elements at most once: m * C(r + 1, 2) <= C(q, 2) caps m at 4 for
+    # q = 23, r = 10, for every m, where the point count above passes every
+    # m >= 21.  Both bounds reject before the builder runs
+    monkeypatch.setattr(lrc, "construct", None)
+    for m in (21, 2000, 10**5, 10**12):
+        with pytest.raises(InsufficientYield) as exc:
+            lrc.construct_lrc(23, 10, 11, m)
+        assert f"cover {55 * m} > C(23, 2) = 253 pairs" in str(exc.value)
+    with pytest.raises(InsufficientYield, match="need 38 > q = 23"):
+        lrc.construct_lrc(23, 10, 11, 4)
+
+
+def test_construct_lrc_rejects_a_population_past_the_sampler(monkeypatch):
+    # C(q, r + 1) above 2**62 is rejected before the sampling floor, whose
+    # float arithmetic would overflow; the largest population the sampler
+    # takes still reaches the builder
+    def reached(*args, **kwargs):
+        raise RetriesExhausted("stub", best_yield=0)
+
+    monkeypatch.setattr(lrc, "construct", reached)
+    with pytest.raises(BadRange, match="C\\(1000003,1001\\) candidate blocks exceed the sampler's limit of 2\\*\\*62"):
+        lrc.construct_lrc(1000003, 1000, 11, 2)
+    q = next(q for q in range(12, 10**4) if math.comb(q, 11) <= 2**62 < math.comb(q + 1, 11))
+    with pytest.raises(BadRange, match="sampler"):
+        lrc.construct_lrc(next(p for p in range(q + 1, 2 * q) if lrc.is_prime(p)), 10, 11, 2)
+    largest = next(p for p in range(q, 0, -1) if lrc.is_prime(p))
+    with pytest.raises(InsufficientYield, match="at most 0 < target_m=2"):
+        lrc.construct_lrc(largest, 10, 11, 2)
 
 
 def test_construct_lrc_starved_sample(monkeypatch):
