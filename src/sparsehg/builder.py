@@ -11,9 +11,10 @@ Every stage but the span enumerations is near-linear in its input: the
 sample is unranked all at once, by one searchsorted per vertex position
 in `_colex_unrank`, the routine the exact verifiers unrank with; level 2
 of the alteration is a greedy over per-vertex edge bitsets, with no list
-of pairs; each entangled-pair sweep counts shared edges through an
-edge-to-system index; and the exchange pass of the independent set scans
-only the vertices a swap can gain, not every vertex.
+of pairs; each entangled-pair sweep counts a system's shared edges over
+per-edge lists trimmed to the intact systems after it; and the exchange
+pass of the independent set scans only the vertices a swap can gain, not
+every vertex.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
@@ -38,6 +39,7 @@ from .errors import (
     RetriesExhausted,
     SparseHgError,
     TargetOrdering,
+    TooLarge,
 )
 from .freeness import (
     FreenessConstraint,
@@ -242,13 +244,14 @@ def unrank_ascending(ranks, n: int, r: int) -> list[tuple[int, ...]]:
     return list(map(tuple, (n - colex[:, ::-1]).tolist()))
 
 
-def sample(params: ConstructionParams) -> Hypergraph:
+def sample(params: ConstructionParams, *, budget: int = DEFAULT_BUDGET) -> Hypergraph:
     """Draw the binomial random hypergraph for these parameters.
 
     The number of edges is Binomial(C(n, r), p); that many distinct edges
     are then chosen uniformly via rank sampling, so any two runs with the
     same seed produce identical hypergraphs.  The sorted ranks are unranked
-    all at once, by `_colex_unrank` through `unrank_ascending`.
+    all at once, by `_colex_unrank` through `unrank_ascending`.  A count
+    above the budget raises TooLarge before any rank is drawn.
     """
     n, r, p = params.n, params.r, params.p
     population = comb(n, r)
@@ -260,6 +263,8 @@ def sample(params: ConstructionParams) -> Hypergraph:
         count = population
     else:
         count = int(np.random.default_rng(params.seed).binomial(population, p))
+    if count > budget:
+        raise TooLarge(f"a sample of {count} edges exceeds budget {budget}")
     rng = random.Random(params.seed)
     ranks = sorted(rng.sample(range(population), count))
     edges = tuple(unrank_ascending(ranks, n, r))
@@ -289,11 +294,20 @@ def alter(
 
     The bad e-systems are enumerated once, on the sample: alteration only
     deletes edges, so those of any later hypergraph are the sample's bad
-    e-systems whose edges all survive.  Each level indexes the intact ones
-    by edge, which gives every system's partners by counting shared edges,
-    and each removal marks the systems holding its edge broken.  The
-    survivors' systems, re-indexed to the output, are left in
-    `trace.bad_after` for `build_aux`.
+    e-systems whose edges all survive.  Level 2 narrows the sample's list
+    only if it removed an edge; at (3, 6, 5), f(2) = r and it removes none.
+    Each level indexes the intact systems by edge, and each removal marks
+    the systems holding its edge broken.  The sweep visits the systems in
+    order and counts a system's partners over live per-edge lists, which
+    it trims, as it reads them, to the intact systems after the visited
+    one.  That is exact: within a level a broken system stays broken and
+    the visits ascend, so a dropped entry is never a partner later; and no
+    intact earlier system shares exactly i edges with the visited one, as
+    their pair was broken when the earlier one was visited.  A removal
+    during the visit can still break a partner already counted, so every
+    partner is re-checked before it removes an edge.  The survivors'
+    systems, re-indexed to the output, are left in `trace.bad_after` for
+    `build_aux`.
     """
     r, e, v, f = params.r, params.e, params.v, params.f
     edges = list(h0.edges)
@@ -305,14 +319,14 @@ def alter(
     # level has indexed them, intact[a] says whether bad[a] is intact and
     # holding[k] lists the positions of the systems holding edge k
     intact = bytearray()
-    holding: dict[int, list[int]] = {}
+    holding: list[list[int]] = [[] for _ in range(m)]
 
     def alive_indices() -> list[int]:
         return [k for k in range(m) if alive[k]]
 
     def remove(k: int):
         alive[k] = False
-        for a in holding.get(k, ()):
+        for a in holding[k]:
             intact[a] = 0
         trace.removed_edges.append(edges[k])
 
@@ -372,7 +386,8 @@ def alter(
             trace.y_removed[i] = break_each(sub_systems(i, thr))
 
         # narrow `bad` to the current hypergraph's bad e-systems: from level
-        # 3 on, the previous level's index marks those a removal broke
+        # 3 on, the previous level's index marks those a removal broke;
+        # level 2 filters the sample's list only if it removed an edge
         if i > 2:
             bad = list(itertools.compress(bad, intact))
         elif all_bad:
@@ -380,24 +395,28 @@ def alter(
             if comb(len(cur), e) > budget:
                 raise BudgetExceeded(f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad")
             bad = list(itertools.combinations(cur, e))
-        else:
+        elif not all(alive):
             gone = {k for k in range(m) if not alive[k]}
             bad = [s for s in bad if gone.isdisjoint(s)]
         intact = bytearray([1]) * len(bad)
-        holding = defaultdict(list)
+        holding = [[] for _ in range(m)]
         for a, s in enumerate(bad):
             for k in s:
                 holding[k].append(a)
+        live = holding[:]
 
         # entangled pairs of current bad e-systems sharing precisely i
         # edges, visited in lexicographic order of (s1, s2): the partners of
-        # s1 are the later positions counted i times over its edges
+        # s1 are the positions counted i times over its edges' live lists,
+        # which keep only the intact systems after s1
         removed_here = 0
         for a, s1 in enumerate(bad):
             if not intact[a]:
                 continue  # every pair holding s1 is already broken
-            shared = Counter(itertools.chain.from_iterable(holding[k] for k in s1))
-            for b in sorted(b for b, c in shared.items() if c == i and b > a):
+            for k in s1:
+                live[k] = [b for b in live[k] if b > a and intact[b]]
+            shared = Counter(itertools.chain.from_iterable(live[k] for k in s1))
+            for b in sorted([b for b, c in shared.items() if c == i]):
                 if not intact[a]:
                     break
                 if intact[b]:
@@ -561,7 +580,7 @@ def _run_attempts(params: ConstructionParams, budget: int) -> ConstructionResult
     best_yield = 0
     for attempt in range(params.max_retries):
         attempt_params = replace(params, seed=seed + attempt)
-        h0 = sample(attempt_params)
+        h0 = sample(attempt_params, budget=budget)
         try:
             h1, trace = alter(h0, attempt_params, budget=budget)
         except Degenerate:

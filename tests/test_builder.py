@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import random
 import statistics
@@ -7,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from conftest import cyclic_garbage
 from sparsehg import (
     BadRange,
     BudgetExceeded,
@@ -17,6 +20,7 @@ from sparsehg import (
     NotLinear,
     RetriesExhausted,
     TargetOrdering,
+    TooLarge,
     alter,
     build_aux,
     canonicalize,
@@ -139,6 +143,13 @@ def test_sample_limits():
     assert empty.m == 0
     with pytest.raises(BadRange):  # C(n, r) > 2**62 ranks
         sample(plan(3, 3, 6, 4_000_000))
+    # the edge count is drawn first, so a sample the budget could not
+    # list is refused before its ranks are drawn
+    params = plan(3, 3, 6, 64, seed=3)
+    count = sample(params).m
+    assert sample(params, budget=count).m == count
+    with pytest.raises(TooLarge, match=f"a sample of {count} edges exceeds budget {count - 1}"):
+        sample(params, budget=count - 1)
 
 
 def test_sample_deterministic_and_seed_sensitive():
@@ -329,12 +340,14 @@ def test_alter_counts_consistent(rng):
 def test_alter_matches_plain_alteration_rule():
     # dense samples, so that pairs of bad e-systems entangle often; at
     # (3, 6, 5, 8), seeds 77 and 134 remove edges in another order when a
-    # system's entangled partners are not visited in lexicographic order
+    # system's entangled partners are not visited in lexicographic order;
+    # every seed there but seed 3 does when a partner that a removal earlier
+    # in the same visit broke is not re-checked before it removes an edge
     cases = [
         ((3, 3, 6, 10), 40, (), range(8)),
         ((3, 4, 7, 9), 20, (), range(8)),
         ((3, 3, 6, 12), 30, ((7, 4),), range(8)),
-        ((3, 6, 5, 8), None, (), (77, 134)),
+        ((3, 6, 5, 8), None, (), (77, 134, *range(6))),
     ]
     checked = 0
     for (r, e, v, n), floor, extra, seeds in cases:
@@ -351,7 +364,46 @@ def test_alter_matches_plain_alteration_rule():
                 continue
             assert trace.removed_edges == expected
             checked += sum(trace.z_removed.values()) > 0
-    assert checked >= 14
+    assert checked >= 32
+
+
+def test_alter_pinned_on_the_cbc_e6_path():
+    # the cbc-e6 builder's (3, 6, 5, 16) alteration: reports, surviving
+    # systems and edges recorded before the entangled-pair sweep counted
+    # over live lists, so a faster sweep must not change what it removes.
+    # `cbc construct` writes no trace, so its .hg digests alone would miss
+    # a change that the independent set happens to hide
+    pinned = {
+        0: "07cfaccf921f143ee4c5173d984147420c1b1823be4f09ff308e2a7a0399d5d4",
+        1: "6a84cd2024a45d8ce30422b637ef3bc560856b60454a096346ecf1217c62079d",
+        2: "80a666092ae4b8f68eee371766fca319bcc7e70493630a0ef5c3dfafaef8114f",
+        3: "c8df6442cb2cd2c5a3f956e6e16d67e4f91c8d8d8bc8c8e3fbfa5dc77ed91b39",
+        4: "598cab26473c0b12973415df22d368b18c1fb2ea89e0889d2ab2f9416ba81419",
+        5: "036e1fa157cbb9c959b202f8abcabb71d8af11882c49e4ef4b57640c007aa4a0",
+        6: "52ce81609ecd913490abc456578a9eeafa4f0278adbc3c6eb93f7dac17ea7d6a",
+        7: "62c07fab87d43ac6cbde9938950e49606dd4bbcfa0a482b56ce611a29f076af9",
+        8: "8bc7635e452b56ee28000ba7a5ef766903647b9775a80d455c5fc543e2d713a3",
+        9: "b5f6d386f9359dc7ceaa33297684e7bd03b6aa016f3e9186284f08ce582c8348",
+        10: "b86ac2f6c3138c91fcb7c292d07459950ebc36d8df1a68a2f330f2b3414325b9",
+        11: "74e9834de2171ddbc7678c2591f03d0fa92ace661366af69df1a81651872710a",
+        12: "31a5ce2573f610e7b3426db9a5fd586caebb53811351918eed3cc3b38cb24c8c",
+        13: "96f09dee7c4b678e5cd3f1e52efc4e9d4bd2115eee70b6a945b0b76eea996c4f",
+        14: "cea889e0c2b87714b95e11458fcabcb8ad11e26ca1312c2e6a30e5c6056054b7",
+        15: "596c8e0d1694b57cff3526cf4964a3c801ba7e3828408375c31151a197b14e28",
+    }
+    params0 = plan(3, 6, 5, 16)
+    for seed, expected in pinned.items():
+        params = dataclasses.replace(params0, seed=seed)
+        h1, trace = alter(sample(params), params)
+        record = json.dumps([trace.to_report(), trace.bad_after, h1.edges])
+        assert hashlib.sha256(record.encode()).hexdigest() == expected, seed
+        assert sum(trace.z_removed.values()) > 0, seed
+
+
+def test_alter_leaves_no_cyclic_garbage():
+    params = dataclasses.replace(plan(3, 6, 5, 16), seed=7)
+    h0 = sample(params)
+    assert cyclic_garbage(lambda: alter(h0, params)) == 0
 
 
 def test_alter_bad_systems_match_fresh_enumeration():

@@ -463,6 +463,36 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_oversized_sample_is_refused_without_a_traceback(tmp_path):
+    # n = 10**6 expects 5.27e8 edges: the sampler refuses the drawn count
+    # against the budget instead of building the ranks.  Each run is a child
+    # under a 2 GiB address-space cap, so a sampler that builds them fails
+    # there, not in the test process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from sparsehg.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = {
+        "construct": (3, ["--n", "1000000"]),
+        "scaling": (2, ["--n", "32,48,1000000", "--trials", "1"]),
+    }
+    for command, (status, args) in runs.items():
+        argv = [command, "--r", "3", "--e", "3", "--v", "6", *args]
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == status, (command, out.stderr)
+        assert "Traceback" not in out.stderr
+        if command == "construct":
+            [line] = out.stderr.splitlines()
+            assert re.fullmatch(r"error: TooLarge: a sample of \d+ edges exceeds budget 1000000", line)
+        else:
+            assert "no fit" in out.stdout
+            rows = (tmp_path / "scaling.csv").read_text().splitlines()
+            assert rows[3] == "1000000,0,0,,"
+
+
 def test_ipps_construct_and_verify(tmp_path, capsys):
     rc = main(["ipps", "construct", "--r", "3", "--t", "3", "--n", "500",
                "--seed", "4", "--out", "i.hg", "--json"])
