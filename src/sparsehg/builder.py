@@ -90,6 +90,8 @@ class ConstructionParams:
 class AlterationTrace:
     """Counts of everything the alteration removed, plus the removed edges.
 
+    `w_before` counts the bad e-systems left after level 2 (the sample's
+    dense pairs) and `w_after` those of the altered hypergraph.
     `bad_after` holds the surviving bad e-systems as index tuples into the
     altered hypergraph, in lexicographic order, for `build_aux`.  It is not
     part of the report.
@@ -292,16 +294,16 @@ def alter(
     edge still alive removes its alive later partners, ascending, read
     from per-vertex edge bitsets.
 
-    The bad e-systems are enumerated once, on the sample: alteration only
-    deletes edges, so those of any later hypergraph are the sample's bad
-    e-systems whose edges all survive.  Level 2 narrows the sample's list
-    only if it removed an edge; at (3, 6, 5), f(2) = r and it removes none.
-    Each level indexes the intact systems by edge, and each removal marks
-    the systems holding its edge broken.  The sweep visits the systems in
-    order and counts a system's partners over live per-edge lists, which
-    it trims, as it reads them, to the intact systems after the visited
-    one.  That is exact: within a level a broken system stays broken and
-    the visits ascend, so a dropped entry is never a partner later; and no
+    The bad e-systems are enumerated once, on level 2's survivors, and
+    `trace.w_before` counts that list.  Alteration only deletes edges, so
+    they are the sample's bad e-systems whose edges all survive, in the
+    same order, and those of any later hypergraph are among them.  Each
+    level indexes the intact systems by edge, and each removal marks the
+    systems holding its edge broken.  The sweep visits the systems in order
+    and counts a system's partners over live per-edge lists, which it
+    trims, as it reads them, to the intact systems after the visited one.
+    That is exact: within a level a broken system stays broken and the
+    visits ascend, so a dropped entry is never a partner later; and no
     intact earlier system shares exactly i edges with the visited one, as
     their pair was broken when the earlier one was visited.  A removal
     during the visit can still break a partner already counted, so every
@@ -334,7 +336,9 @@ def alter(
         """Systems of the current hypergraph, as original-index tuples."""
         sub = alive_indices()
         found = span_bounded_systems([masks[k] for k in sub], size, max_span, budget=budget)
-        return [tuple(sub[a] for a in s) for s in found]
+        if len(sub) == m:
+            return found  # every edge alive: positions are original indices
+        return [tuple(map(sub.__getitem__, s)) for s in found]
 
     def break_each(systems) -> int:
         """Remove the greatest edge of each system still intact, in the
@@ -350,28 +354,22 @@ def alter(
         """Level 2, which runs first, on the whole sample: in order, each
         alive edge removes its alive later partners sharing at least
         `shared` vertices with it, ascending.  The pairs are counted
-        against the budget as if listed."""
+        against the budget as if listed, and the sweep stops at the first
+        edge that takes the count past it."""
         if m < 2 or shared >= r:
             return 0  # no two distinct edges share r vertices
         pairs = removed = 0
         for k, partners in enumerate(_partners(_incidence(masks), masks, shared)):
             later = partners >> (k + 1) << (k + 1)
             pairs += later.bit_count()
+            if pairs > budget:
+                raise BudgetExceeded(f"{pairs} span-bounded pairs exceed budget {budget}")
             if alive[k]:
                 for j in _bit_indices(later):
                     if alive[j]:
                         remove(j)
                         removed += 1
-        if pairs > budget:
-            raise BudgetExceeded(f"{pairs} span-bounded pairs exceed budget {budget}")
         return removed
-
-    # with v at least the sample's support, every e-subset is bad and stays
-    # so after any deletion (support only shrinks): level 2 lists those of
-    # the survivors, so the sample's are never listed
-    all_bad = v >= _support(masks).bit_count()
-    bad = [] if all_bad else span_bounded_systems(masks, e, v, budget=budget)
-    trace.w_before = comb(m, e) if all_bad else len(bad)
 
     for i in range(2, e):
         thr = i * r - f[i]
@@ -385,19 +383,14 @@ def alter(
         else:
             trace.y_removed[i] = break_each(sub_systems(i, thr))
 
-        # narrow `bad` to the current hypergraph's bad e-systems: from level
-        # 3 on, the previous level's index marks those a removal broke;
-        # level 2 filters the sample's list only if it removed an edge
-        if i > 2:
+        # the current hypergraph's bad e-systems: listed on level 2's
+        # survivors, then narrowed by the previous level's index, which
+        # marks those a removal broke
+        if i == 2:
+            bad = sub_systems(e, v)
+            trace.w_before = len(bad)
+        else:
             bad = list(itertools.compress(bad, intact))
-        elif all_bad:
-            cur = alive_indices()
-            if comb(len(cur), e) > budget:
-                raise BudgetExceeded(f"degenerate parameters: all {comb(len(cur), e)} e-subsets are bad")
-            bad = list(itertools.combinations(cur, e))
-        elif not all(alive):
-            gone = {k for k in range(m) if not alive[k]}
-            bad = [s for s in bad if gone.isdisjoint(s)]
         intact = bytearray([1]) * len(bad)
         holding = [[] for _ in range(m)]
         for a, s in enumerate(bad):

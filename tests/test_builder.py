@@ -190,6 +190,14 @@ def test_sample_mean_tracks_expectation():
 # --- alter -----------------------------------------------------------------
 
 
+def on_level_two_survivors(h0, trace, systems):
+    """The systems of the sample `h0`, as index tuples, whose edges all
+    survive level 2: it removes first, so its removals open
+    `trace.removed_edges`."""
+    gone = set(trace.removed_edges[: trace.y_removed[2]])
+    return [s for s in systems if gone.isdisjoint(h0.edges[k] for k in s)]
+
+
 def test_alter_identity_when_clean():
     params = plan(3, 3, 6, 9)
     h0 = canonicalize([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 9)
@@ -316,12 +324,31 @@ def test_alter_level_two_budget_counts_every_pair():
                 alter(h0, params, budget=pairs - 1)
             checked += pairs > 0
     assert checked == 12
-    # at (3, 6, 5) f(2) = r: no two distinct edges conflict, nothing is
-    # counted, and a budget below zero first trips the degenerate check
+    # at (3, 6, 5) f(2) = r: no two distinct edges conflict, so level 2
+    # counts nothing and even a budget below zero passes it; two edges hold
+    # no 6-system, so nothing else is listed either
     params = plan(3, 6, 5, 16)
     two = sample(params).subhypergraph([0, 1])
-    with pytest.raises(BudgetExceeded, match="all 0 e-subsets are bad"):
-        alter(two, params, budget=-1)
+    h1, trace = alter(two, params, budget=-1)
+    assert trace.y_removed[2] == 0 and h1.edges == two.edges
+
+
+def test_alter_level_two_stops_at_the_budget(monkeypatch):
+    # the sweep raises at the first edge whose partners take the pair count
+    # past the budget, not after reading every edge's partners
+    read = []
+
+    def counting(*args):
+        for partners in freeness._partners(*args):
+            read.append(partners)
+            yield partners
+
+    monkeypatch.setattr(builder, "_partners", counting)
+    params = plan(11, 5, 50, 23, min_expected_edges=1000)
+    h0 = sample(params)
+    with pytest.raises(BudgetExceeded, match="span-bounded pairs exceed budget 10$"):
+        alter(h0, params, budget=10)
+    assert 0 < len(read) < h0.m // 10
 
 
 def test_alter_counts_consistent(rng):
@@ -333,7 +360,8 @@ def test_alter_counts_consistent(rng):
             continue
         h1, trace = alter(h0, params)
         assert trace.x_sampled == h0.m
-        assert trace.w_before == len(oracles.violations(h0.edges, 3, 6))
+        sample_systems = oracles.violations(h0.edges, 3, 6)
+        assert trace.w_before == len(on_level_two_survivors(h0, trace, sample_systems))
         assert trace.w_after == len(oracles.violations(h1.edges, 3, 6))
 
 
@@ -407,10 +435,16 @@ def test_alter_leaves_no_cyclic_garbage():
 
 
 def test_alter_bad_systems_match_fresh_enumeration():
-    # the sample is enumerated once; W_before, W_after and the surviving
-    # systems handed to build_aux must equal fresh enumerations, including
-    # the degenerate n <= v case where every e-subset is bad
-    cases = [((3, 3, 6, 24), None, 10), ((3, 6, 5, 12), None, 3), ((3, 3, 6, 6), 9, 6)]
+    # level 2's survivors are enumerated once; W_before, W_after and the
+    # surviving systems handed to build_aux must equal fresh enumerations,
+    # including the degenerate n <= v case where every e-subset is bad.
+    # W_before is the sample's systems whose edges all survive level 2
+    cases = [
+        ((3, 3, 6, 24), None, 10),
+        ((3, 6, 5, 12), None, 3),
+        ((3, 3, 6, 6), 9, 6),
+        ((3, 4, 7, 9), 20, 6),
+    ]
     checked = 0
     for (r, e, v, n), floor, seeds in cases:
         params0 = plan(r, e, v, n, min_expected_edges=floor)
@@ -421,12 +455,13 @@ def test_alter_bad_systems_match_fresh_enumeration():
                 h1, trace = alter(h0, params)
             except Degenerate:
                 continue
-            assert trace.w_before == len(span_bounded_systems(h0.masks, e, v))
+            sample_systems = span_bounded_systems(h0.masks, e, v)
+            assert trace.w_before == len(on_level_two_survivors(h0, trace, sample_systems))
             fresh = span_bounded_systems(h1.masks, e, v)
             assert list(trace.bad_after) == fresh
             assert trace.w_after == len(fresh)
             if h0.m <= 30:
-                assert trace.w_before == len(oracles.violations(h0.edges, e, v))
+                assert sample_systems == oracles.violations(h0.edges, e, v)
                 assert fresh == oracles.violations(h1.edges, e, v)
             assert build_aux(h1, params, systems=trace.bad_after).edges == tuple(fresh)
             checked += 1
@@ -434,10 +469,11 @@ def test_alter_bad_systems_match_fresh_enumeration():
 
 
 def test_alter_and_build_aux_enumerate_bad_systems_once(monkeypatch):
+    # the one (e, v) listing runs on level 2's survivors, not on the sample
     calls = []
 
     def counting(masks, size, max_span, **kwargs):
-        calls.append((size, max_span))
+        calls.append((size, max_span, len(masks)))
         return span_bounded_systems(masks, size, max_span, **kwargs)
 
     monkeypatch.setattr(builder, "span_bounded_systems", counting)
@@ -450,7 +486,7 @@ def test_alter_and_build_aux_enumerate_bad_systems_once(monkeypatch):
             calls.clear()
             h1, trace = alter(h0, params)
             build_aux(h1, params, systems=trace.bad_after)
-            assert calls.count((e, v)) == 1
+            assert [c[2] for c in calls if c[:2] == (e, v)] == [h0.m - trace.y_removed[2]]
             assert trace.w_before > 0
 
 
@@ -550,7 +586,8 @@ def test_construct_336_frozen_yield():
     result = construct(3, 3, 6, 64, seed=1)
     assert result.hypergraph.m == 60
     assert result.trace.x_sampled == 114
-    assert result.trace.w_before == 555
+    # the bad 3-systems after level 2; the 114-edge sample holds 555
+    assert result.trace.w_before == 125
 
 
 def test_construct_output_certified_by_oracle():

@@ -587,15 +587,23 @@ def test_cbc_construct_e6_bytes_pinned(tmp_path):
 
 
 def test_construct_n384_bytes_pinned(tmp_path):
-    # a production-size construct: .hg and trace bytes recorded before the
-    # level-2 sweep, the entangled-pair sweep and the exchange pass were
-    # rewritten, so a faster stage must not change what the builder keeps
+    # production-size constructs: .hg, trace and certificate bytes recorded
+    # before the level-2 sweep, the entangled-pair sweep and the exchange
+    # pass were rewritten, so a faster stage must not change what the
+    # builder keeps.  The trace's W_before counts the 3,773 bad 3-systems
+    # after level 2 (the 2,048-edge sample holds 21,784).  The (3, 4, 7)
+    # run is the e = 4 ladder at a size the other tests do not reach
     rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "384",
                "--seed", "2", "--out", "g.hg"])
     assert rc == 0
+    rc = main(["construct", "--r", "3", "--e", "4", "--v", "7", "--n", "128",
+               "--seed", "0", "--out", "h.hg"])
+    assert rc == 0
     pinned = {
         "g.hg": "714108cc2249dc7364fcd576615d789e8ae6fe67b1fdd4147076e787a1998012",
-        "g.trace.json": "344217208fd54f8141996e8b96a18a20aa5da6c2d05682b288bd270b2559db80",
+        "g.trace.json": "0ecf1007eadb654bfbeee80eb3a81187bb31691d46c922ab01bc34e5016237f9",
+        "h.hg": "cd0f8845aed61d52f5b8a72f04a96b8ae5011b27c09233fde7d1bce9b6847158",
+        "h.cert.json": "f6e32ec25e0d5ef57d4f90152f9d8b39a4659901e964586cf63762221893b49f",
     }
     for name, expected in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
