@@ -12,8 +12,6 @@ independent: a matching-based SDR check and a span-profile check.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from math import gcd
 
 from .builder import DEFAULT_BUDGET, construct
@@ -87,21 +85,6 @@ def check_cbc(h: Hypergraph, e: int, *, budget: int | None = None) -> Verdict:
     return check_profile(h, deficit_profile(h.r, 0, e), budget=budget)
 
 
-def containment_margins(r: int, e: int, q: int = 0) -> dict[int, int]:
-    """Margins i*r - ceil((i-1)(er-v)/(e-1)) - (i-q-1) for v = e-q-1.
-
-    Every margin must be nonnegative for the ladder profile at v = e-q-1
-    to imply the deficit profile.  At q = 0 the margin is
-    r - ceil((i-1)r/(e-1)), never negative, so construct_cbc needs no check.
-    """
-    v = e - q - 1
-    margins = {}
-    for i in range(1, e + 1):
-        f_i = math.ceil(Fraction((i - 1) * (e * r - v), e - 1))
-        margins[i] = i * r - f_i - (i - q - 1)
-    return margins
-
-
 def construct_cbc(
     r: int,
     e: int,
@@ -131,8 +114,8 @@ def construct_cbc(
         budget=budget,
     )
     # construct raises unless its ladder certificate holds.  At v = e - 1,
-    # e*r - v = (e - 1)(r - 1) + r, so every containment margin is
-    # r - ceil((i - 1)r/(e - 1)) >= 0: each ladder rung (i, i*r - f(i)) implies
+    # e*r - v = (e - 1)(r - 1) + r, so every containment margin i*r - f(i) - (i - 1)
+    # is r - ceil((i - 1)r/(e - 1)) >= 0: each ladder rung (i, i*r - f(i)) implies
     # the deficit rung (i, i - 1), rung 1 holds for any edge, and check_cbc
     # would repeat the same searches
     return result.hypergraph

@@ -82,8 +82,6 @@ class ConstructionParams:
     seed: int
     max_retries: int
     min_yield: int
-    window_a: Fraction
-    window_b: Fraction | None
 
 
 @dataclass
@@ -188,22 +186,13 @@ def plan(
                 f"extra target ({v_j}, {e_j}) is not strictly easier than ({v}, {e})"
             )
 
-    window_a = None
+    window = []
     for i in range(2, e):
         g = Fraction((i - 1) * (e * r - v), e - 1)
-        lo = (f[i] - g) / (i - 1)
-        hi = (g + 1 - f[i]) / (2 * e - i - 1)
-        for bound in (lo, hi):
-            if window_a is None or bound < window_a:
-                window_a = bound
-    assert window_a is not None and window_a > 0
-
-    window_b = None
-    for v_j, e_j in extra_targets:
-        gap = Fraction(v - r, e - 1) - Fraction(v_j - r, e_j - 1)
-        if window_b is None or gap < window_b:
-            window_b = gap
-    epsilon = (window_a if window_b is None else min(window_a, window_b)) / 2
+        window += [(f[i] - g) / (i - 1), (g + 1 - f[i]) / (2 * e - i - 1)]
+    assert min(window) > 0
+    window += [Fraction(v - r, e - 1) - Fraction(v_j - r, e_j - 1) for v_j, e_j in extra_targets]
+    epsilon = min(window) / 2
 
     exponent = float(-Fraction(v - r, e - 1) + epsilon)
     p = math.exp(exponent * math.log(n))
@@ -231,19 +220,7 @@ def plan(
         seed=seed,
         max_retries=max_retries,
         min_yield=min_yield,
-        window_a=window_a,
-        window_b=window_b,
     )
-
-
-def unrank_ascending(ranks, n: int, r: int) -> list[tuple[int, ...]]:
-    """The r-subsets of 1..n with the given lexicographic ranks (0-based),
-    in the order given.  Reflecting every vertex v to n - v reverses lex
-    order into colex order on range(n), so the subset of lex rank x is the
-    reflection of the one of colex rank C(n, r) - 1 - x, by `_colex_unrank`.
-    """
-    colex = _colex_unrank(comb(n, r) - 1 - np.asarray(ranks, np.int64), r, n)
-    return list(map(tuple, (n - colex[:, ::-1]).tolist()))
 
 
 def sample(params: ConstructionParams, *, budget: int = DEFAULT_BUDGET) -> Hypergraph:
@@ -252,8 +229,8 @@ def sample(params: ConstructionParams, *, budget: int = DEFAULT_BUDGET) -> Hyper
     The number of edges is Binomial(C(n, r), p); that many distinct edges
     are then chosen uniformly via rank sampling, so any two runs with the
     same seed produce identical hypergraphs.  The sorted ranks are unranked
-    all at once, by `_colex_unrank` through `unrank_ascending`.  A count
-    above the budget raises TooLarge before any rank is drawn.
+    all at once, by `_colex_unrank`.  A count above the budget raises
+    TooLarge before any rank is drawn.
     """
     n, r, p = params.n, params.r, params.p
     population = comb(n, r)
@@ -269,7 +246,11 @@ def sample(params: ConstructionParams, *, budget: int = DEFAULT_BUDGET) -> Hyper
         raise TooLarge(f"a sample of {count} edges exceeds budget {budget}")
     rng = random.Random(params.seed)
     ranks = sorted(rng.sample(range(population), count))
-    edges = tuple(unrank_ascending(ranks, n, r))
+    # reflecting every vertex v to n - v reverses lex order into colex order
+    # on range(n), so the subset of lex rank x is the reflection of the one
+    # of colex rank C(n, r) - 1 - x
+    colex = _colex_unrank(population - 1 - np.asarray(ranks, np.int64), r, n)
+    edges = tuple(map(tuple, (n - colex[:, ::-1]).tolist()))
     return Hypergraph(n, r, edges, False)
 
 

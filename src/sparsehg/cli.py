@@ -69,19 +69,24 @@ def _read_text(path: str) -> str:
         raise SparseHgError(f"cannot decode {path}: {exc.reason} at byte {exc.start}") from exc
 
 
-def _finish(code: int, as_json: bool, report: dict, lines: list[str], files: dict[str, str] | None = None, *, sort_keys: bool = True) -> int:
+def _finish(code: int, as_json: bool, report: dict, lines: list[str], files: list[tuple[str, str]] | None = None, *, sort_keys: bool = True) -> int:
     """The one exit of every command: check every output path, write each
-    file byte for byte (no newline translation), then print the JSON report
-    (keys sorted unless sort_keys is False) or the human lines.  A path that
-    is a directory or lies in a missing directory is a SparseHgError
-    (exit 1) before any file is written, so the command leaves no files."""
-    files = files or {}
+    (path, text) pair byte for byte (no newline translation), then print
+    the JSON report (keys sorted unless sort_keys is False) or the human
+    lines.  A path that is a directory, lies in a missing directory or
+    names the same file as another output is a SparseHgError (exit 1)
+    before any file is written, so the command leaves no files."""
+    files, claimed = files or [], set()
     try:
-        for path in files:
+        for path, _ in files:
             os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # its directory exists
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        for path, text in files.items():
+            real = os.path.realpath(path)
+            if real in claimed:
+                raise SparseHgError(f"two outputs would both be written to {path}")
+            claimed.add(real)
+        for path, text in files:
             with open(path, "w", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
@@ -144,11 +149,11 @@ def run_construct(args) -> int:
         f"constructed {h.m} edges on {h.n} vertices (seed {result.params.seed})",
         f"wrote {stem}, {trace_path}, {cert_path}",
     ]
-    files = {
-        stem: serialize_hg(h),
-        trace_path: json.dumps({"schema": 1, **result.trace.to_report()}, sort_keys=True, indent=2) + "\n",
-        cert_path: json.dumps(cert, sort_keys=True, indent=2) + "\n",
-    }
+    files = [
+        (stem, serialize_hg(h)),
+        (trace_path, json.dumps({"schema": 1, **result.trace.to_report()}, sort_keys=True, indent=2) + "\n"),
+        (cert_path, json.dumps(cert, sort_keys=True, indent=2) + "\n"),
+    ]
     return _finish(0, args.json, report, lines, files)
 
 
@@ -295,7 +300,7 @@ def run_scaling(args) -> int:
         f"slope {slope:.4f} vs target {float(target):.4f}" if slope is not None else "no fit: fewer than 3 n values with yields",
         f"wrote {args.out}",
     ]
-    return _finish(0 if slope is not None else 2, args.json, report, lines, {args.out: buf.getvalue()}, sort_keys=False)
+    return _finish(0 if slope is not None else 2, args.json, report, lines, [(args.out, buf.getvalue())], sort_keys=False)
 
 
 # --- ipps / cbc / lrc --------------------------------------------------
@@ -321,7 +326,7 @@ def run_ipps_construct(args) -> int:
     out = args.out or f"ipps_r{args.r}_t{args.t}_n{args.n}_seed{args.seed}.hg"
     e = ipps.link_e(args.t)
     report = {"schema": 1, "output": out, "m": h.m, "e": e, "v": e * args.r - args.r}
-    return _finish(0, args.json, report, [f"constructed {h.m} edges, wrote {out}"], {out: serialize_hg(h)})
+    return _finish(0, args.json, report, [f"constructed {h.m} edges, wrote {out}"], [(out, serialize_hg(h))])
 
 
 def run_cbc_verify(args) -> int:
@@ -355,15 +360,15 @@ def run_cbc_construct(args) -> int:
     )
     out = args.out or f"cbc_r{args.r}_e{args.e}_n{args.n}_seed{args.seed}.hg"
     report = {"schema": 1, "output": out, "m": h.m}
-    return _finish(0, args.json, report, [f"constructed {h.m} items, wrote {out}"], {out: serialize_hg(h)})
+    return _finish(0, args.json, report, [f"constructed {h.m} items, wrote {out}"], [(out, serialize_hg(h))])
 
 
 def run_lrc_build(args) -> int:
     spec = lrc.construct_lrc(args.q, args.r, args.d, args.m, seed=args.seed, budget=_budget(args, lrc.DEFAULT_BUDGET))
     out = args.out or f"lrc_q{args.q}_r{args.r}_d{args.d}_m{args.m}_seed{args.seed}.json"
-    files = {out: spec.to_json()}
+    files = [(out, spec.to_json())]
     if args.fqm:
-        files[args.fqm] = lrc.serialize_fqm(lrc.parity_check(spec))
+        files.append((args.fqm, lrc.serialize_fqm(lrc.parity_check(spec))))
     report = {"schema": 1, "output": out, "q": spec.q, "r": spec.r, "d": spec.d, "m": spec.m, "n": spec.n}
     return _finish(0, args.json, report, [f"built {spec.m} blocks over F_{spec.q}, wrote {out}"], files)
 

@@ -647,37 +647,6 @@ def _shortest_cycle(masks, t_max: int, budget: int | None) -> BergeCycle | None:
     return BergeCycle(len(best) // 2, tuple(b + 1 for b in best[1::2]), tuple(best[0::2]))
 
 
-def extract_berge_cycle(h: Hypergraph, system: tuple[int, ...]) -> BergeCycle:
-    """An explicit Berge cycle among edges spanning few vertices.
-
-    If the k edges of `system` span at most k*(r-1) vertices, their
-    vertex-edge incidence graph has at least as many links as nodes and so
-    contains a cycle, which alternates edges and vertices and is exactly a
-    Berge cycle.  Returns the cycle `berge_girth` finds on these edges alone.
-    """
-    chosen = sorted(system)
-    cycle = _shortest_cycle([h.masks[i] for i in chosen], len(chosen), None)
-    if cycle is None:
-        raise BadRange(f"edges {tuple(system)} hold no Berge cycle")
-    return BergeCycle(cycle.length, cycle.vertices, tuple(chosen[k] for k in cycle.edges))
-
-
-def validate_berge_cycle(h: Hypergraph, cycle: BergeCycle) -> bool:
-    """Check the cycle convention: distinct vertices, distinct edges, and
-    edges[i] contains vertices[i-1] and vertices[i] cyclically."""
-    t = cycle.length
-    vs, es = cycle.vertices, cycle.edges
-    if len(vs) != t or len(es) != t:
-        return False
-    if len(set(vs)) != t or len(set(es)) != t:
-        return False
-    for i in range(t):
-        edge = set(h.edges[es[i]])
-        if vs[i - 1] not in edge or vs[i] not in edge:
-            return False
-    return True
-
-
 def berge_girth(h: Hypergraph, t_max: int, *, budget: int | None = None) -> BergeCycle | None:
     """Smallest t <= t_max such that `h` contains a Berge t-cycle, with an
     explicit witness; None when the girth exceeds t_max.  A two-edge Berge

@@ -47,7 +47,21 @@ class Hypergraph:
         return len(self.edges)
 
     def union_span(self, indices: tuple[int, ...] | list[int]) -> int:
-        return union_span(self, indices)
+        """Number of vertices covered by the union of the indexed edges.
+
+        Indices must be distinct and in range; duplicates are a caller bug
+        and raise BadIndex rather than being silently collapsed.
+        """
+        seen = set()
+        mask = 0
+        for i in indices:
+            if not 0 <= i < self.m:
+                raise BadIndex(f"edge index {i} out of range 0..{self.m - 1}")
+            if i in seen:
+                raise BadIndex(f"repeated edge index {i}")
+            seen.add(i)
+            mask |= self.masks[i]
+        return mask.bit_count()
 
     def subhypergraph(self, indices: list[int] | tuple[int, ...]) -> "Hypergraph":
         """Restriction to a subset of edge indices (kept in sorted order)."""
@@ -97,24 +111,6 @@ def canonicalize(
             if a == b:
                 raise DuplicateEdge(f"duplicate edge {a}")
     return Hypergraph(n, r, tuple(normalized), multi)
-
-
-def union_span(h: Hypergraph, indices) -> int:
-    """Number of vertices covered by the union of the indexed edges.
-
-    Indices must be distinct and in range; duplicates are a caller bug and
-    raise BadIndex rather than being silently collapsed.
-    """
-    seen = set()
-    mask = 0
-    for i in indices:
-        if not 0 <= i < h.m:
-            raise BadIndex(f"edge index {i} out of range 0..{h.m - 1}")
-        if i in seen:
-            raise BadIndex(f"repeated edge index {i}")
-        seen.add(i)
-        mask |= h.masks[i]
-    return mask.bit_count()
 
 
 def serialize_hg(h: Hypergraph) -> str:

@@ -675,38 +675,6 @@ def serialize_fqm(m: FqMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_fqm(text: str) -> FqMatrix:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError("header must be 'rows cols q'", line=1)
-    try:
-        n_rows, n_cols, q = (int(x) for x in head)
-    except ValueError as exc:
-        raise ParseError(f"bad header: {exc}", line=1) from exc
-    field = PrimeField(q)
-    if n_rows < 0 or n_cols < 0:
-        raise ParseError(f"negative count in header: {n_rows} rows, {n_cols} columns", line=1)
-    if n_rows == 0 and n_cols > 0:
-        raise ParseError(f"{n_cols} columns need at least one row", line=1)
-    if len(lines) != n_rows + 1:
-        raise ParseError(f"expected {n_rows} rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            row = [int(x) for x in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"bad entry: {exc}", line=i) from exc
-        if len(row) != n_cols:
-            raise ParseError(f"expected {n_cols} entries, found {len(row)}", line=i)
-        if any(not 0 <= x < q for x in row):
-            raise ParseError("entries must lie in 0..q-1", line=i)
-        rows.append(row)
-    return fq_matrix(field, rows)
-
-
 def construct_lrc(
     q: int,
     r: int,

@@ -71,6 +71,34 @@ def berge_girth(edges, t_max):
     return None
 
 
+def validate_berge_cycle(edges, cycle):
+    """Check the cycle convention: distinct vertices, distinct edges, and
+    edges[i] contains vertices[i-1] and vertices[i] cyclically."""
+    t = cycle.length
+    vs, es = cycle.vertices, cycle.edges
+    if len(vs) != t or len(es) != t:
+        return False
+    if len(set(vs)) != t or len(set(es)) != t:
+        return False
+    for i in range(t):
+        edge = set(edges[es[i]])
+        if vs[i - 1] not in edge or vs[i] not in edge:
+            return False
+    return True
+
+
+def ruzsa_szemeredi(N):
+    """The Ruzsa-Szemeredi 3-graph on 6N vertices (1-based): edges
+    {x, N + x + a, 3N + x + 2a} for x < N and a in A, the integers below N
+    whose base-3 digits are all 0 or 1.  Any two vertices fix x and a, so
+    the family is linear.  A shadow triangle x, y, z has y - x = a1,
+    z - y = a2 and z - x = 2*a3, so a1 + a2 = 2*a3; A holds no 3-term
+    arithmetic progression, so a1 = a2 = a3 and the triangle is one edge.
+    Linear with no Berge triangle, the family is (3,3,6)-free."""
+    A = [a for a in range(N) if "2" not in np.base_repr(a, 3)]
+    return [(x + 1, N + x + a + 1, 3 * N + x + 2 * a + 1) for x in range(N) for a in A]
+
+
 def has_sdr(sets):
     """Brute-force system of distinct representatives."""
     if not sets:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -13,9 +14,8 @@ from sparsehg import (
     check_cbc,
     check_sdr_all,
     construct_cbc,
-    containment_margins,
     find_sdr,
-    union_span,
+    span_deficits,
 )
 
 
@@ -62,7 +62,7 @@ def test_four_copies_fail():
     verdict = check_sdr_all(h, 4)
     assert not verdict.holds
     assert verdict.witness == (0, 1, 2, 3)
-    assert union_span(h, verdict.witness) < len(verdict.witness)
+    assert h.union_span(verdict.witness) < len(verdict.witness)
 
 
 def test_deficient_witness_is_hall_violator(rng):
@@ -73,7 +73,7 @@ def test_deficient_witness_is_hall_violator(rng):
         if not verdict.holds:
             s = verdict.witness
             assert len(s) <= e
-            assert union_span(h, s) < len(s)
+            assert h.union_span(s) < len(s)
 
 
 def test_guard_and_force():
@@ -120,19 +120,29 @@ def test_construct_cbc_requires_more_edges_than_uniformity():
         construct_cbc(2, 5, 24)
 
 
+def _containment_margins(r, e):
+    """Margins i*r - f(i) - (i - 1) of the ladder at v = e - 1 over the
+    deficit profile's rungs (i, i - 1), with f(1) = 0: each must be
+    nonnegative for the ladder certificate to imply check_cbc."""
+    f = {1: 0, **span_deficits(r, e, e - 1)}
+    return {i: i * r - f[i] - (i - 1) for i in range(1, e + 1)}
+
+
 def test_containment_margins_35():
-    assert containment_margins(3, 5) == {1: 3, 2: 2, 3: 1, 4: 0, 5: 0}
+    assert _containment_margins(3, 5) == {1: 3, 2: 2, 3: 1, 4: 0, 5: 0}
 
 
 def test_containment_margins_36_nonnegative():
-    margins = containment_margins(3, 6)
+    margins = _containment_margins(3, 6)
     assert margins == {1: 3, 2: 2, 3: 1, 4: 1, 5: 0, 6: 0}
     assert all(v >= 0 for v in margins.values())
     # at v = e - 1, e*r - v = (e - 1)(r - 1) + r, so every margin is
     # r - ceil((i - 1)r/(e - 1)), never negative: construct_cbc needs no check
     for r in range(3, 13):
         for e in range(r + 1, 41):
-            margins = containment_margins(r, e)
+            if math.gcd(e - 1, r) != 1:
+                continue  # construct_cbc raises GcdCondition before it builds
+            margins = _containment_margins(r, e)
             assert margins == {i: r - -(-(i - 1) * r // (e - 1)) for i in range(1, e + 1)}
             assert min(margins.values()) >= 0
 

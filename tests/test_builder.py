@@ -33,7 +33,6 @@ from sparsehg import (
     sample,
     serialize_hg,
     span_bounded_systems,
-    union_span,
     FreenessConstraint,
 )
 from sparsehg import builder, freeness
@@ -45,7 +44,7 @@ from sparsehg import builder, freeness
 def test_plan_336_window_and_probability():
     params = plan(3, 3, 6, 64)
     assert params.f == {2: 2, 3: 3}
-    assert params.window_a == Fraction(1, 6)
+    assert oracles.window_bound(3, 3, 6) == Fraction(1, 6)
     assert params.epsilon == Fraction(1, 12)
     # exponent -(v-r)/(e-1) + epsilon = -3/2 + 1/12 = -17/12
     assert params.p == pytest.approx(64.0 ** (-17 / 12))
@@ -54,8 +53,7 @@ def test_plan_336_window_and_probability():
 def test_plan_window_matches_bracket_oracle():
     for r, e, v in [(3, 3, 6), (4, 5, 13), (3, 6, 5), (11, 5, 50), (3, 9, 24)]:
         params = plan(r, e, v, max(r + 1, v + 1))
-        assert params.window_a == oracles.window_bound(r, e, v)
-        assert 0 < params.epsilon < params.window_a
+        assert params.epsilon == oracles.window_bound(r, e, v) / 2
 
 
 def test_plan_f_matches_ceiling_formula():
@@ -98,8 +96,11 @@ def test_plan_extra_target_ordering():
     with pytest.raises(TargetOrdering):
         plan(3, 3, 6, 64, extra_targets=[(8, 4)])  # 4/3 < 3/2
     params = plan(3, 3, 6, 64, extra_targets=[(7, 4)])
-    assert params.window_b == Fraction(3, 2) - Fraction(4, 3)
-    assert params.epsilon == min(params.window_a, params.window_b) / 2
+    gap = Fraction(3, 2) - Fraction(4, 3)
+    assert params.epsilon == min(oracles.window_bound(3, 3, 6), gap) / 2
+    # a gap of 3/2 - 7/5 = 1/10, below the bracket bound 1/6, sets epsilon
+    params = plan(3, 3, 6, 64, extra_targets=[(7, 4), (10, 6)])
+    assert params.epsilon == (Fraction(3, 2) - Fraction(7, 5)) / 2
 
 
 def test_plan_degenerate_p_via_floor():
@@ -131,8 +132,6 @@ def _params_with_p(p, n=6, seed=0):
         seed=seed,
         max_retries=1,
         min_yield=1,
-        window_a=Fraction(1, 6),
-        window_b=None,
     )
 
 
@@ -166,16 +165,22 @@ def test_sample_edges_canonical():
     assert all(list(e) == sorted(e) and len(set(e)) == 3 for e in h.edges)
 
 
-def test_unrank_ascending_matches_unrank_combination():
-    rng = random.Random(11)
+def test_sample_matches_unrank_combination():
+    # sample draws its sorted ranks from random.Random(seed); the edges must
+    # be those ranks unranked, for none, one or two, and about 400 edges
+    counts = set()
     for n, r in [(3, 3), (9, 3), (12, 5), (40, 3), (23, 11), (1024, 3), (70, 65)]:
         population = math.comb(n, r)
-        for count in (0, 1, min(population, 400)):
-            ranks = sorted(rng.sample(range(population), count))
-            expected = [oracles.unrank_combination(i, n, r) for i in ranks]
-            assert builder.unrank_ascending(ranks, n, r) == expected, (n, r, count)
-    every = range(math.comb(10, 4))
-    assert builder.unrank_ascending(every, 10, 4) == [oracles.unrank_combination(i, 10, 4) for i in every]
+        for p in (0.0, min(1.0, 3 / population), min(1.0, 400 / population)):
+            for seed in (11, 12):
+                params = dataclasses.replace(_params_with_p(p, n=n, seed=seed), r=r)
+                h = sample(params)
+                ranks = sorted(random.Random(seed).sample(range(population), h.m))
+                assert list(h.edges) == [oracles.unrank_combination(i, n, r) for i in ranks], (n, r, p, seed)
+                counts.add(h.m)
+    assert {0, 1, 2} <= counts and max(counts) > 300
+    every = sample(dataclasses.replace(_params_with_p(1.0, n=10), r=4))
+    assert list(every.edges) == [oracles.unrank_combination(i, 10, 4) for i in range(math.comb(10, 4))]
 
 
 def test_sample_mean_tracks_expectation():
@@ -520,7 +525,7 @@ def test_aux_edges_revalidate_and_linear():
         h1, trace = alter(h0, params)
         aux = build_aux(h1, params, systems=trace.bad_after)
         for sys in aux.edges:
-            assert union_span(h1, list(sys)) <= 6
+            assert h1.union_span(list(sys)) <= 6
         for a in range(len(aux.edges)):
             for b in range(a + 1, len(aux.edges)):
                 assert len(set(aux.edges[a]) & set(aux.edges[b])) <= 1

@@ -664,7 +664,7 @@ def test_lrc_build_writes_a_spec_that_verifies(tmp_path, capsys):
     assert "built 2 blocks over F_23, wrote spec.json" in capsys.readouterr().out
     spec = lrc.LrcSpec.from_json((tmp_path / "spec.json").read_text())
     assert (spec.q, spec.r, spec.d, spec.m) == (23, 10, 11, 2)
-    assert lrc.parse_fqm((tmp_path / "spec.fqm").read_text()) == lrc.parity_check(spec)
+    assert (tmp_path / "spec.fqm").read_bytes() == lrc.serialize_fqm(lrc.parity_check(spec)).encode()
     assert main(["lrc", "verify", "spec.json", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["optimal"] is True and report["free"] is True
@@ -792,6 +792,24 @@ def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
     assert err == f"error: SparseHgError: cannot write {argv[-1]}: {reason}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
     assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*CONSTRUCT, "--out", "same.json", "--trace", "same.json"],
+        [*CONSTRUCT, "--out", "x.hg", "--cert", "./x.hg"],
+        [*CONSTRUCT, "--trace", "construct_r3_e3_v6_n32_seed0.hg"],
+        [*LRC_BUILD, "--out", "s.txt", "--fqm", "s.txt"],
+    ],
+)
+def test_colliding_output_paths_exit_1(tmp_path, capsys, argv):
+    # two outputs naming one file would leave only the later one: one
+    # error line, and no file is written
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: SparseHgError: two outputs would both be written to {argv[-1]}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_each_flag_only_on_the_commands_that_read_it(tmp_path, monkeypatch, capsys):

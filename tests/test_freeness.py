@@ -23,12 +23,9 @@ from sparsehg import (
     check_profile,
     construct,
     deficit_profile,
-    extract_berge_cycle,
     freeness,
     ladder_profile,
     span_bounded_systems,
-    union_span,
-    validate_berge_cycle,
 )
 from sparsehg.batch import construct_cbc
 from sparsehg.builder import plan, sample
@@ -43,7 +40,7 @@ def test_three_edges_in_four_vertices_violate():
     verdict = check_free(h, FreenessConstraint(3, 6))
     assert not verdict.holds
     assert verdict.spanned == 4
-    assert union_span(h, verdict.witness) == verdict.spanned
+    assert h.union_span(verdict.witness) == verdict.spanned
 
 
 def test_disjoint_edges_hold():
@@ -83,7 +80,7 @@ def test_oracle_equivalence_simple(rng):
         verdict = check_free(h, FreenessConstraint(e, v))
         assert verdict.holds == oracles.is_free(h.edges, e, v)
         if not verdict.holds:
-            assert union_span(h, verdict.witness) <= v
+            assert h.union_span(verdict.witness) <= v
 
 
 def test_oracle_equivalence_multigraph(rng):
@@ -545,7 +542,7 @@ def test_check_profile_reports_first_failing_constraint(rng):
         assert verdict.holds == expected
         if not verdict.holds:
             c = verdict.constraint
-            assert union_span(h, verdict.witness) <= c.v
+            assert h.union_span(verdict.witness) <= c.v
             # smaller-e constraints all hold
             for prior in profile.constraints:
                 if prior.e < c.e:
@@ -559,13 +556,13 @@ def test_explicit_three_cycle():
     h = canonicalize([[1, 2, 5], [2, 3, 6], [1, 3, 7]], 7)
     cycle = berge_girth(h, 4)
     assert cycle is not None and cycle.length == 3
-    assert validate_berge_cycle(h, cycle)
+    assert oracles.validate_berge_cycle(h.edges, cycle)
     for bad in (
         BergeCycle(2, cycle.vertices, cycle.edges),  # wrong length
         BergeCycle(3, (1, 2, 1), cycle.edges),  # repeated vertex
         BergeCycle(3, (1, 2, 3), (0, 1, 2)),  # edge 0 misses vertex 3
     ):
-        assert not validate_berge_cycle(h, bad)
+        assert not oracles.validate_berge_cycle(h.edges, bad)
 
 
 def test_two_disjoint_edges_have_no_cycle():
@@ -577,7 +574,7 @@ def test_two_cycle_is_shared_pair():
     h = canonicalize([[1, 2, 3], [1, 2, 4]], 4)
     cycle = berge_girth(h, 4)
     assert cycle is not None and cycle.length == 2
-    assert validate_berge_cycle(h, cycle)
+    assert oracles.validate_berge_cycle(h.edges, cycle)
 
 
 def test_berge_girth_needs_t_at_least_two():
@@ -596,7 +593,7 @@ def test_girth_matches_literal_search(rng):
         expected = oracles.berge_girth(h.edges, 4)
         assert (None if cycle is None else cycle.length) == expected
         if cycle is not None:
-            assert validate_berge_cycle(h, cycle)
+            assert oracles.validate_berge_cycle(h.edges, cycle)
 
 
 def test_girth_profile_duality(rng):
@@ -612,6 +609,14 @@ def test_girth_profile_duality(rng):
             assert cycle.edges[0] == verdict.witness[0]
 
 
+def _cycle_among(h, system):
+    """berge_girth on the edges of `system` alone, with the cycle's edge
+    indices mapped back into h."""
+    chosen = sorted(system)
+    cycle = berge_girth(h.subhypergraph(chosen), len(chosen))
+    return BergeCycle(cycle.length, cycle.vertices, tuple(chosen[k] for k in cycle.edges))
+
+
 def test_berge_search_never_calls_the_span_kernel(monkeypatch, rng):
     def refuse(*args, **kwargs):
         raise AssertionError("the Berge search called span_bounded_systems")
@@ -622,34 +627,26 @@ def test_berge_search_never_calls_the_span_kernel(monkeypatch, rng):
         h = random_hypergraph(rng, multi=rng.random() < 0.3)
         cycle = berge_girth(h, 4)
         if cycle is not None:
-            assert validate_berge_cycle(h, cycle)
-            assert extract_berge_cycle(h, cycle.edges) == cycle
+            assert oracles.validate_berge_cycle(h.edges, cycle)
+            assert _cycle_among(h, cycle.edges) == cycle
             found += 1
     assert found
 
 
 def test_extract_cycle_from_violating_system():
     h = canonicalize([[1, 2, 5], [2, 3, 6], [1, 3, 7]], 7)
-    cycle = extract_berge_cycle(h, (0, 1, 2))
+    cycle = _cycle_among(h, (0, 1, 2))
     assert cycle.length == 3
-    assert validate_berge_cycle(h, cycle)
-
-
-def test_extract_cycle_rejects_a_cycle_free_system():
-    # two edges meeting in one vertex, and two disjoint ones: no Berge cycle
-    h = canonicalize([[1, 2, 3], [3, 4, 5], [6, 7, 8]], 8)
-    for system in ((0, 1), (0, 2), (0, 1, 2)):
-        with pytest.raises(BadRange, match="hold no Berge cycle"):
-            extract_berge_cycle(h, system)
+    assert oracles.validate_berge_cycle(h.edges, cycle)
 
 
 def test_extracted_cycle_starts_at_its_smallest_edge():
     # the search's first cycle here is edges (4, 2, 3); the witness is
     # rotated to start at edge 2 and oriented toward the smaller vertex
     h = canonicalize([[1, 4], [1, 5], [2, 3], [2, 5], [3, 5], [4, 5], [5, 6]], 6)
-    cycle = extract_berge_cycle(h, (0, 1, 2, 3, 4))
+    cycle = _cycle_among(h, (0, 1, 2, 3, 4))
     assert cycle == BergeCycle(3, (2, 5, 3), (2, 3, 4))
-    assert validate_berge_cycle(h, cycle)
+    assert oracles.validate_berge_cycle(h.edges, cycle)
 
 
 def test_planted_triangle_is_caught_at_production_size():
@@ -685,4 +682,45 @@ def test_planted_triangle_is_caught_at_production_size():
     # both start at the smallest edge on any shortest cycle
     assert cycle.edges[0] == witness[0]
     assert cycle == BergeCycle(3, (1, 28, 2), (0, 4, 11))
-    assert validate_berge_cycle(planted, cycle)
+    assert oracles.validate_berge_cycle(planted.edges, cycle)
+
+
+def test_ruzsa_szemeredi_family_is_free():
+    # a (3,3,6)-free family at production size that no builder code made
+    h = canonicalize(oracles.ruzsa_szemeredi(85), 510)
+    assert h.m == 1615
+    assert check_profile(h, ladder_profile(3, 3, 6)).holds
+    assert berge_girth(h, 3) is None
+
+
+def test_planted_triangle_in_ruzsa_szemeredi_family_is_caught():
+    # plant the first edge that closes a Berge triangle with two edges
+    # meeting at a vertex and meets every edge in at most one vertex, so the
+    # (2, 4) rung still holds
+    h = canonicalize(oracles.ruzsa_szemeredi(85), 510)
+    a, b = next((a, b) for a, b in itertools.combinations(h.edges, 2) if len(set(a) & set(b)) == 1)
+    candidates = (
+        {u, w, z} for u in sorted(set(a) - set(b)) for w in sorted(set(b) - set(a)) for z in range(1, h.n + 1)
+    )
+    planted_edge = tuple(sorted(next(
+        t for t in candidates if len(t) == 3 and all(len(set(edge) & t) <= 1 for edge in h.edges)
+    )))
+    planted = canonicalize([*h.edges, planted_edge], h.n)
+    k = planted.edges.index(planted_edge)
+    # the family is free, so every violating triple holds the planted edge;
+    # three edges that pairwise meet in at most one vertex span at most 6
+    # only if every two of them meet, so the triple's other two edges touch
+    # the planted one, and the oracle need only search those
+    sub = [k, *(i for i, edge in enumerate(planted.edges) if i != k and set(edge) & set(planted_edge))]
+    witness = min(
+        tuple(sorted(sub[j] for j in combo))
+        for combo in oracles.violations([planted.edges[i] for i in sub], 3, 6)
+    )
+    verdict = check_profile(planted, ladder_profile(3, 3, 6))
+    assert not verdict.holds
+    assert verdict.constraint == FreenessConstraint(3, 6)
+    assert verdict.witness == witness
+    cycle = berge_girth(planted, 3)
+    assert cycle is not None and cycle.length == 3
+    assert cycle.edges[0] == witness[0]
+    assert oracles.validate_berge_cycle(planted.edges, cycle)

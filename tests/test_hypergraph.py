@@ -16,7 +16,6 @@ from sparsehg import (
     canonicalize,
     parse_hg,
     serialize_hg,
-    union_span,
 )
 
 
@@ -63,19 +62,19 @@ def test_canonicalize_idempotent(rng):
 
 def test_union_span_examples():
     h = canonicalize([[1, 2, 3], [3, 4, 5]], 5)
-    assert union_span(h, [0, 1]) == 5
-    assert union_span(h, [0]) == 3
-    assert union_span(h, [1, 0]) == 5
+    assert h.union_span([0, 1]) == 5
+    assert h.union_span([0]) == 3
+    assert h.union_span([1, 0]) == 5
 
 
 def test_union_span_bad_index():
     h = canonicalize([[1, 2, 3]], 3)
     with pytest.raises(BadIndex):
-        union_span(h, [1])
+        h.union_span([1])
     with pytest.raises(BadIndex):
-        union_span(h, [-1])
+        h.union_span([-1])
     with pytest.raises(BadIndex):
-        union_span(h, [0, 0])
+        h.union_span([0, 0])
 
 
 def test_union_span_matches_naive_recount(rng):
@@ -83,14 +82,14 @@ def test_union_span_matches_naive_recount(rng):
         h = random_hypergraph(rng)
         k = rng.randint(1, h.m)
         idx = rng.sample(range(h.m), k)
-        assert union_span(h, idx) == oracles.span(h.edges, idx)
+        assert h.union_span(idx) == oracles.span(h.edges, idx)
 
 
 def test_union_span_bounds(rng):
     for _ in range(100):
         h = random_hypergraph(rng)
         idx = rng.sample(range(h.m), rng.randint(1, h.m))
-        s = union_span(h, idx)
+        s = h.union_span(idx)
         assert h.r <= s <= h.r * len(idx)
 
 

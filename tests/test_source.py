@@ -198,3 +198,56 @@ def test_docs_name_only_defined_private_names():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readme = (SRC.parent.parent / "README.md").read_text()
     assert undefined_private_names(sources, readme) == []
+
+
+def unread_public_names(modules: dict[str, str], readme: str) -> list[str]:
+    """Names in the `__all__` of `__init__.py` (among `modules`, by file
+    name) that no other module reads, as a name or an attribute, and that
+    no ```python block of the README calls.  Names match by spelling
+    alone, so the check errs on the side of passing."""
+    exported = []
+    for node in ast.walk(ast.parse(modules["__init__.py"])):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported = [elt.value for elt in node.value.elts]
+    read = set()
+    for file, source in modules.items():
+        if file == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.Call):
+                read.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+    return [name for name in exported if name not in read]
+
+
+def test_unread_public_name_check_sees_the_cases_it_claims():
+    modules = {
+        "__init__.py": (
+            "from .m import Box, helper, shown, spare, unused\n"
+            "__all__ = ['Box', 'helper', 'shown', 'spare', 'unused']\nspare()\n"
+        ),
+        "m.py": (
+            "class Box:\n    def helper(self):\n        pass\n"
+            "def shown():\n    pass\n"
+            "def spare():\n    pass\n"
+            "def unused():\n    unused = 1\n"
+            "def use(b: Box):\n    return b.helper()\n"
+        ),
+    }
+    readme = "```python\nimport m\nm.shown()\nprint(m.spare)\n```\n`unused()` is prose.\n"
+    assert unread_public_names(modules, readme) == ["spare", "unused"]
+
+
+def test_every_public_name_is_read():
+    # what the package exports serves its commands, its other modules or the
+    # README's examples; a name only the tests read moves to them or goes
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readme = (SRC.parent.parent / "README.md").read_text()
+    assert unread_public_names(modules, readme) == []
