@@ -81,8 +81,9 @@ def check_sdr_all(h: Hypergraph, e: int, *, force: bool = False) -> Verdict:
 def check_cbc(h: Hypergraph, e: int, *, budget: int | None = None) -> Verdict:
     """Span-profile route to the same question: free of i edges covering
     fewer than i vertices, for every i <= e.  Independent of check_sdr_all
-    by design; the two must agree on every input."""
-    return check_profile(h, deficit_profile(h.r, 0, e), budget=budget)
+    by design; the two must agree on every input.  e larger than the edge
+    count clamps, as no i > m distinct edges exist; e < 1 is BadRange."""
+    return check_profile(h, deficit_profile(h.r, 0, min(e, max(h.m, 1))), budget=budget)
 
 
 def construct_cbc(

@@ -60,6 +60,9 @@ from .hypergraph import Hypergraph
 # default cap on the systems (or pairs) one kernel search may produce
 DEFAULT_BUDGET = 10**6
 
+# attempts `construct` makes, from seed upward, before RetriesExhausted
+MAX_RETRIES = 16
+
 
 @dataclass(frozen=True)
 class ConstructionParams:
@@ -80,7 +83,6 @@ class ConstructionParams:
     f: dict[int, int]
     extra_targets: tuple[tuple[int, int], ...]
     seed: int
-    max_retries: int
     min_yield: int
 
 
@@ -153,7 +155,6 @@ def plan(
     extra_targets: tuple[tuple[int, int], ...] = (),
     seed: int = 0,
     *,
-    max_retries: int = 16,
     min_yield: int | None = None,
     min_expected_edges: float | None = None,
 ) -> ConstructionParams:
@@ -197,6 +198,8 @@ def plan(
     exponent = float(-Fraction(v - r, e - 1) + epsilon)
     p = math.exp(exponent * math.log(n))
     n_edges = comb(n, r)
+    if n_edges > 2**62:  # as `sample` would, before the float arithmetic below
+        raise BadRange(f"C({n},{r}) too large for the sampler")
     if min_expected_edges is not None:
         p = max(p, min_expected_edges / n_edges)
     if not 0.0 < p < 1.0:
@@ -206,8 +209,6 @@ def plan(
         # roughly one plus the aux-graph degree, so the default floor is a
         # small fraction of the expected sample rather than a large one
         min_yield = max(1, math.ceil(0.05 * p * n_edges))
-    if max_retries < 1:
-        raise BadRange("max_retries must be >= 1")
     return ConstructionParams(
         r=r,
         e=e,
@@ -218,7 +219,6 @@ def plan(
         f=f,
         extra_targets=tuple(extra_targets),
         seed=seed,
-        max_retries=max_retries,
         min_yield=min_yield,
     )
 
@@ -524,14 +524,14 @@ def construct(
     extra_targets: tuple[tuple[int, int], ...] = (),
     seed: int = 0,
     *,
-    max_retries: int = 16,
     min_yield: int | None = None,
     min_expected_edges: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ConstructionResult:
     """Full pipeline with retry: sample, alter, take an independent set,
     and certify the graded profile plus every extra target on the output.
-    Seeds advance by one per retry until the yield reaches min_yield."""
+    Seeds advance by one per attempt, at most MAX_RETRIES of them, until
+    the yield reaches min_yield."""
     params = plan(
         r,
         e,
@@ -539,7 +539,6 @@ def construct(
         n,
         extra_targets,
         seed,
-        max_retries=max_retries,
         min_yield=min_yield,
         min_expected_edges=min_expected_edges,
     )
@@ -552,7 +551,7 @@ def _run_attempts(params: ConstructionParams, budget: int) -> ConstructionResult
     profile = ladder_profile(params.r, params.e, params.v)
     seed = params.seed
     best_yield = 0
-    for attempt in range(params.max_retries):
+    for attempt in range(MAX_RETRIES):
         attempt_params = replace(params, seed=seed + attempt)
         h0 = sample(attempt_params, budget=budget)
         try:
@@ -580,6 +579,6 @@ def _run_attempts(params: ConstructionParams, budget: int) -> ConstructionResult
         return ConstructionResult(out, attempt_params, trace, verdict)
     raise RetriesExhausted(
         f"no attempt reached min_yield={params.min_yield} "
-        f"after {params.max_retries} retries (best {best_yield})",
+        f"after {MAX_RETRIES} retries (best {best_yield})",
         best_yield=best_yield,
     )

@@ -109,7 +109,7 @@ def _params_report(params: builder.ConstructionParams) -> dict:
         "f": {str(i): c for i, c in sorted(params.f.items())},
         "extra_targets": [list(t) for t in params.extra_targets],
         "seed": params.seed,
-        "max_retries": params.max_retries,
+        "max_retries": builder.MAX_RETRIES,
         "min_yield": params.min_yield,
     }
 
@@ -126,7 +126,6 @@ def run_construct(args) -> int:
         args.n,
         extra_targets=extra,
         seed=args.seed,
-        max_retries=args.max_retries,
         min_yield=args.min_yield,
         min_expected_edges=args.min_expected_edges,
         budget=_budget(args),
@@ -205,10 +204,8 @@ def _scaling_cell(job: tuple) -> dict:
     try:
         result = builder.construct(r, e, v, n, seed=seed, budget=budget)
         cell_yield = result.hypergraph.m
-        error = ""
-    except SparseHgError as exc:
+    except SparseHgError:
         cell_yield = None
-        error = type(exc).__name__
     ms = round((time.perf_counter() - t0) * 1000)
     return {
         "n": n,
@@ -216,7 +213,6 @@ def _scaling_cell(job: tuple) -> dict:
         "seed": seed,
         "yield": cell_yield,
         "runtime_ms": ms if timings else None,
-        "error": error,
     }
 
 
@@ -414,7 +410,10 @@ def _n_ladder(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each build costs milliseconds
+    and leaves cyclic garbage."""
     # no defaults: main passes them in from _env_defaults, and a subcommand
     # would overwrite them with its own
     seed, budget, report = (argparse.ArgumentParser(add_help=False) for _ in range(3))
@@ -435,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--extra", type=_extra_pair, action="append", metavar="V:E")
-    p.add_argument("--max-retries", type=int, default=16)
     p.add_argument("--min-yield", type=int, default=None)
     p.add_argument("--min-expected-edges", type=float, default=None)
     p.add_argument("--out")
@@ -508,17 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process: each build costs
-    milliseconds and leaves cyclic garbage."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = _parser().parse_args(argv, _env_defaults())
+            args = build_parser().parse_args(argv, _env_defaults())
         except SystemExit as exc:  # argparse exits 2 on usage errors; remap
             return 0 if exc.code in (0, None) else 1
         return args.func(args)

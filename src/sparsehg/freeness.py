@@ -427,14 +427,13 @@ def _pair_route(masks, size: int, max_span: int, budget: int | None = None) -> l
     m = len(masks)
     r = masks[0].bit_count()
     if size == 2:
-        # exact threshold: span(a, b) <= max_span iff |a & b| >= 2r - max_span
-        pairs = [
-            (i, j)
-            for i, partners in enumerate(_partners(_incidence(masks), masks, 2 * r - max_span))
-            for j in _bit_indices(partners >> (i + 1) << (i + 1))
-        ]
-        if budget is not None and len(pairs) > budget:
-            raise BudgetExceeded(f"{len(pairs)} span-bounded pairs exceed budget {budget}")
+        # exact threshold: span(a, b) <= max_span iff |a & b| >= 2r - max_span;
+        # the count stops at the first edge that takes it past the budget
+        pairs = []
+        for i, partners in enumerate(_partners(_incidence(masks), masks, 2 * r - max_span)):
+            pairs += ((i, j) for j in _bit_indices(partners >> (i + 1) << (i + 1)))
+            if budget is not None and len(pairs) > budget:
+                raise BudgetExceeded(f"{len(pairs)} span-bounded pairs exceed budget {budget}")
         return pairs
 
     # Sets of edges are bitsets over edge indices; a `level` list starts

@@ -79,9 +79,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise BadRange(f"{self.q} is not prime")
 
-    def pow(self, a: int, k: int) -> int:
-        return pow(a, k, self.q)
-
 
 @dataclass(frozen=True)
 class FqMatrix:
@@ -187,23 +184,6 @@ def rank(m: FqMatrix) -> int:
     return len(m._basis)
 
 
-def vandermonde(a_list: tuple[int, ...], d: int, field: PrimeField) -> FqMatrix:
-    """(d-2) x |A| block of powers: entry (i, j) = a_j ** i for i = 1..d-2.
-
-    Exponents start at 1: a constant row would repeat the all-ones locality
-    parities and collapse rank.
-    """
-    if d < 3:
-        raise BadShape(f"need d >= 3 for a nonempty block, got {d}")
-    if not a_list:
-        raise BadShape("empty evaluation set")
-    if len(set(a_list)) != len(a_list):
-        raise DuplicateElement(f"repeated evaluation point in {a_list}")
-    return fq_matrix(
-        field, [[field.pow(a, i) for a in a_list] for i in range(1, d - 1)]
-    )
-
-
 @dataclass(frozen=True)
 class LrcSpec:
     """A code instance: field, locality, design distance, and the block
@@ -280,23 +260,19 @@ class LrcSpec:
 
 def parity_check(spec: LrcSpec) -> FqMatrix:
     """(m + d - 2) x n matrix: one all-ones row per block on top (locality:
-    every column meets exactly one weight-(r+1) row), Vandermonde blocks
-    evaluated at A_i side by side below."""
-    field = spec.field
+    every column meets exactly one weight-(r+1) row), and below them row i,
+    for i = 1..d-2, holds a ** i over the points a of every block in order.
+    Exponents start at 1: a constant row would repeat the locality rows and
+    collapse rank."""
     width = spec.r + 1
     top = []
     for b in range(spec.m):
         row = [0] * spec.n
         row[b * width : (b + 1) * width] = [1] * width
         top.append(row)
-    blocks = [vandermonde(a, spec.d, field) for a in spec.a_list]
-    bottom = []
-    for i in range(spec.d - 2):
-        row = []
-        for blk in blocks:
-            row.extend(blk.entries[i])
-        bottom.append(row)
-    return fq_matrix(field, top + bottom)
+    points = [a for block in spec.a_list for a in block]
+    bottom = [[pow(a, i, spec.q) for a in points] for i in range(1, spec.d - 1)]
+    return fq_matrix(spec.field, top + bottom)
 
 
 _FRONTIER_BYTES = 1 << 20

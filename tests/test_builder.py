@@ -74,13 +74,25 @@ def test_plan_range_errors():
         plan(3, 3, 6, 2)  # n below the uniformity
     with pytest.raises(BadRange):
         plan(3, 3, 6, 64, extra_targets=[(9, 3)])  # v_j above e_j*r - 1
-    with pytest.raises(BadRange):
-        plan(3, 3, 6, 32, max_retries=0)
     # a library error, not numpy's ValueError from default_rng
     with pytest.raises(BadRange):
         plan(3, 3, 6, 64, seed=-1)
     with pytest.raises(BadRange):
         construct(3, 3, 6, 64, seed=-1)
+
+
+def test_plan_rejects_a_population_too_large_for_the_sampler():
+    # C(n, r) above 2**62 is rejected before 0.05 * p * C(n, r) overflows a
+    # float; the earlier checks keep their order
+    assert math.comb(3024617, 3) <= 2**62 < math.comb(3024618, 3)
+    assert plan(3, 3, 6, 3024617).n == 3024617
+    for n in (3024618, 10**111):
+        with pytest.raises(BadRange, match=rf"C\({n},3\) too large for the sampler"):
+            plan(3, 3, 6, n)
+        with pytest.raises(BadRange, match="need seed >= 0"):
+            plan(3, 3, 6, n, seed=-1)
+    with pytest.raises(BadRange, match="too large for the sampler"):
+        plan(3, 3, 6, 10**111, min_expected_edges=1.0)
 
 
 def test_plan_allows_n_at_most_v():
@@ -130,7 +142,6 @@ def _params_with_p(p, n=6, seed=0):
         f={2: 2, 3: 3},
         extra_targets=(),
         seed=seed,
-        max_retries=1,
         min_yield=1,
     )
 
@@ -142,6 +153,8 @@ def test_sample_limits():
     assert empty.m == 0
     with pytest.raises(BadRange):  # C(n, r) > 2**62 ranks
         sample(plan(3, 3, 6, 4_000_000))
+    with pytest.raises(BadRange, match="too large for the sampler"):  # params built by hand
+        sample(_params_with_p(1e-12, n=4_000_000))
     # the edge count is drawn first, so a sample the budget could not
     # list is refused before its ranks are drawn
     params = plan(3, 3, 6, 64, seed=3)
@@ -631,8 +644,9 @@ def test_construct_extra_target_enforced():
 
 def test_construct_retries_exhausted_reports_best():
     with pytest.raises(RetriesExhausted) as ei:
-        construct(3, 3, 6, 16, seed=0, max_retries=2, min_yield=10**6)
+        construct(3, 3, 6, 16, seed=0, min_yield=10**6)
     assert ei.value.best_yield >= 0
+    assert f"after {builder.MAX_RETRIES} retries" in str(ei.value)
 
 
 def test_construct_trace_report_shape():

@@ -239,9 +239,34 @@ def test_construct_degenerate_probability(capsys):
 
 def test_construct_retries_exhausted_exit_two(capsys):
     rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32",
-               "--min-yield", "1000000", "--max-retries", "2"])
+               "--min-yield", "1000000"])
     assert rc == 2
     assert "RetriesExhausted" in capsys.readouterr().err
+    # the attempt count is fixed, not a flag
+    rc = main(["construct", "--r", "3", "--e", "3", "--v", "6", "--n", "32", "--max-retries", "2"])
+    assert rc == 1
+    assert "unrecognized arguments: --max-retries 2" in capsys.readouterr().err
+
+
+def test_huge_n_is_rejected_before_the_float_arithmetic(tmp_path, capsys):
+    # C(n, r) above the sampler's 2**62 ranks is one error line, not an
+    # OverflowError traceback from the default yield floor
+    n = str(10**111)
+    error = f"error: BadRange: C({n},3) too large for the sampler\n"
+    for argv in (
+        ["construct", "--r", "3", "--e", "3", "--v", "6", "--n", n],
+        ["ipps", "construct", "--r", "3", "--t", "3", "--n", n],
+        ["cbc", "construct", "--r", "3", "--e", "6", "--n", n],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", error)
+        assert list(tmp_path.iterdir()) == []
+    # in a scaling run only that cell fails, so two n values yield: no fit
+    rc = main(["scaling", "--r", "3", "--e", "3", "--v", "6", "--n", f"32,48,{n}",
+               "--trials", "1", "--out", "s.csv"])
+    assert rc == 2
+    lines = (tmp_path / "s.csv").read_bytes().decode().split("\r\n")
+    assert lines[3] == f"{n},0,0,,"
 
 
 def test_verify_profile_and_ladder(tmp_path, capsys):
@@ -546,6 +571,33 @@ def test_cbc_verify(tmp_path, capsys):
     assert rc == 4
     report = json.loads(capsys.readouterr().out)
     assert report["witness"] == [0, 1, 2, 3]
+
+
+def test_cbc_verify_clamps_e_to_the_edge_count(tmp_path, monkeypatch, capsys):
+    # no i distinct edges exist above the edge count m, so --e past m gives
+    # --e m's report (with the cross-check within its 20-edge guard, and
+    # without it past the guard) instead of building a rung per i <= e
+    built, real = [], batch.deficit_profile
+
+    def rungs(r, q, e):
+        built.append(e)
+        assert e <= 25, "a rung above the edge count"
+        return real(r, q, e)
+
+    monkeypatch.setattr(batch, "deficit_profile", rungs)
+    (tmp_path / "ok.hg").write_text(CBC_OK_HG)
+    (tmp_path / "bad.hg").write_text(CBC_BAD_HG)
+    disjoint = ["75 25 3"] + [f"{3 * k + 1} {3 * k + 2} {3 * k + 3}" for k in range(25)]
+    (tmp_path / "d25.hg").write_text("\n".join(disjoint) + "\n")
+    for name, m, rc in (("ok.hg", 3, 0), ("bad.hg", 5, 4), ("d25.hg", 25, 0)):
+        reports = []
+        for e in (m, 10**8):
+            assert main(["cbc", "verify", name, "--e", str(e), "--json"]) == rc
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and built[-2:] == [m, m]
+        assert ("sdr_agrees" in json.loads(reports[0])) == (m <= 20)
+    assert main(["cbc", "verify", "ok.hg", "--e", "0"]) == 1
+    assert "error: BadRange: need e >= 1" in capsys.readouterr().err
 
 
 def test_cbc_verify_cross_checks_within_the_matching_guard(tmp_path, capsys):
@@ -857,15 +909,12 @@ def test_parser_is_built_once_per_environment(tmp_path, monkeypatch, capsys):
     # each build costs milliseconds and leaves cyclic garbage, so main
     # builds the parser once and reads the SPARSEHG_* values on every call;
     # a bad value still exits 1 on every call
-    builds = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     (tmp_path / "d.hg").write_text(DISJOINT_HG)
     argv = ["verify", "d.hg", "--e", "2", "--v", "5"]
     for _ in range(3):
         assert main(argv) == 0
-    assert len(builds) == 1
+    assert cli.build_parser.cache_info().misses == 1
     assert capsys.readouterr().out.startswith("profile [(2, 5)]: holds")
     monkeypatch.setenv("SPARSEHG_SEED", "oops")
     for _ in range(2):
@@ -876,8 +925,8 @@ def test_parser_is_built_once_per_environment(tmp_path, monkeypatch, capsys):
     for _ in range(2):
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["holds"] is True
-    assert len(builds) == 1
-    cli._parser.cache_clear()
+    assert cli.build_parser.cache_info().misses == 1
+    cli.build_parser.cache_clear()
 
 
 def test_env_json_flag(tmp_path, monkeypatch, capsys):

@@ -390,6 +390,25 @@ def test_pair_level_budget_edge():
             check_free(h, FreenessConstraint(2, v), budget=count - 1)
 
 
+def test_pair_level_stops_at_the_budget(monkeypatch):
+    # the size-2 listing raises at the first edge whose partners take the
+    # pair count past the budget, not after listing every pair: on a fan of
+    # edges {1, 2, k} the first edge already holds m - 1 pairs
+    read, real = [], freeness._partners
+
+    def counting(*args):
+        for partners in real(*args):
+            read.append(partners)
+            yield partners
+
+    monkeypatch.setattr(freeness, "_partners", counting)
+    m = 2000
+    h = canonicalize([[1, 2, k] for k in range(3, m + 3)], m + 2)
+    with pytest.raises(BudgetExceeded, match=f"^{m - 1} span-bounded pairs exceed budget 10$"):
+        check_free(h, FreenessConstraint(2, 4), budget=10)
+    assert 0 < len(read) < m // 10
+
+
 def test_span_bounded_systems_spans_below_r_are_empty():
     # no edge fits in fewer than r vertices, whatever the size
     for r in (3, 4):
@@ -691,6 +710,35 @@ def test_ruzsa_szemeredi_family_is_free():
     assert h.m == 1615
     assert check_profile(h, ladder_profile(3, 3, 6)).holds
     assert berge_girth(h, 3) is None
+
+
+def test_planted_dense_pair_in_ruzsa_szemeredi_family_is_caught():
+    # plant an edge that shares 2 vertices with the family's first edge and
+    # at most 1 with every other edge: the (2, 4) rung fails, on the size-2
+    # listing at production size
+    h = canonicalize(oracles.ruzsa_szemeredi(85), 510)
+    a = h.edges[0]
+    z = next(
+        z for z in range(1, h.n + 1)
+        if z not in a and all(len(set(edge) & {a[0], a[1], z}) <= 1 for edge in h.edges[1:])
+    )
+    planted_edge = tuple(sorted((a[0], a[1], z)))
+    planted = canonicalize([*h.edges, planted_edge], h.n)
+    k = planted.edges.index(planted_edge)
+    # the family is linear, so every violating pair holds the planted edge
+    sub = [k, *(i for i, edge in enumerate(planted.edges) if i != k and set(edge) & set(planted_edge))]
+    witness = min(
+        tuple(sorted(sub[j] for j in combo))
+        for combo in oracles.violations([planted.edges[i] for i in sub], 2, 4)
+    )
+    verdict = check_profile(planted, ladder_profile(3, 3, 6))
+    assert not verdict.holds
+    assert verdict.constraint == FreenessConstraint(2, 4)
+    assert verdict.witness == witness and verdict.spanned == 4
+    cycle = berge_girth(planted, 2)
+    assert cycle is not None and cycle.length == 2
+    assert sorted(cycle.edges) == list(witness)
+    assert oracles.validate_berge_cycle(planted.edges, cycle)
 
 
 def test_planted_triangle_in_ruzsa_szemeredi_family_is_caught():

@@ -63,7 +63,6 @@ def test_field_axioms(data):
     for rows in ([[a]], [[a, b], [c * a, c * b]], [[a, b], [c, a * b + c]]):
         assert lrc.rank(lrc.fq_matrix(f, rows)) == oracles.rank_mod(rows, q)
     assert lrc.rank(lrc.fq_matrix(f, [[a, b], [c * a, c * b]])) == (1 if a or b else 0)
-    assert f.pow(a, 3) == pow(a, 3, q)
 
 
 def test_inverse_of_zero():
@@ -137,17 +136,13 @@ def test_rank_row_permutation_invariant(rng):
         assert lrc.rank(lrc.fq_matrix(f, shuffled)) == base
 
 
-def test_vandermonde():
-    f = lrc.PrimeField(7)
-    vm = lrc.vandermonde((3, 5), 4, f)
-    assert vm.entries == ((3, 5), (2, 4))  # powers 1 and 2
-    assert lrc.vandermonde((0, 1, 2), 3, f).rows == 1
-    with pytest.raises(BadShape):
-        lrc.vandermonde((3, 5), 2, f)
-    with pytest.raises(BadShape):
-        lrc.vandermonde((), 4, f)
-    with pytest.raises(DuplicateElement):
-        lrc.vandermonde((3, 3), 4, f)
+def test_parity_check_power_rows():
+    # below the locality rows, row i holds a ** i (i = 1..d-2) over the
+    # points of every block in order
+    spec = lrc.LrcSpec(q=7, r=1, d=4, a_list=((3, 5), (6, 0)))
+    assert lrc.parity_check(spec).entries[2:] == ((3, 5, 6, 0), (2, 4, 1, 0))  # powers 1 and 2
+    spec = lrc.LrcSpec(q=7, r=2, d=3, a_list=((0, 1, 2),))
+    assert lrc.parity_check(spec).entries == ((1, 1, 1), (0, 1, 2))
 
 
 SMALL = lrc.LrcSpec(q=7, r=2, d=3, a_list=((0, 1, 2), (3, 4, 5)))
