@@ -181,6 +181,9 @@ def run_verify(args) -> int:
     if args.e is None or args.v is None:
         raise SparseHgError("verify needs --berge T, or --e and --v")
     if args.ladder:
+        # rejected before ladder_profile builds its e - 1 rungs
+        if args.e > h.m:
+            raise BadRange(f"--ladder needs e <= {h.m}, the file's edge count, got e={args.e}")
         profile = freeness.ladder_profile(h.r, args.e, args.v)
     else:
         profile = freeness.ConstraintProfile((freeness.FreenessConstraint(args.e, args.v),))

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -276,9 +276,12 @@ def parity_check(spec: LrcSpec) -> FqMatrix:
 
 
 _FRONTIER_BYTES = 1 << 20
-"""Cap on the bytes of stored search states, whatever the budget.  The
+"""Cap on the bytes of stored search states, whatever the budget: a slab
+runs when _slab_peak, the most its stored levels hold at once, fits.  The
 temporaries of one elimination step take what the stored states leave of
-twice the cap.  1 MiB from a measured sweep of 256 KiB to 4 MiB (README)."""
+twice the cap, and the hit scan's chunks at most the cap.  1 MiB from a
+measured sweep of 512 KiB to 2 MiB (README): 2 MiB was faster on the
+benchmark but held 2.2 MiB more peak RSS."""
 
 
 def _storage_dtype(q: int):
@@ -293,6 +296,34 @@ def _lex_rank(subset: tuple[int, ...], n: int) -> int:
     0..n-1 in lexicographic order."""
     d = len(subset)
     return math.comb(n, d) - 1 - sum(math.comb(n - 1 - a, d - i) for i, a in enumerate(subset))
+
+
+@lru_cache(maxsize=256)  # searches of one code repeat a few shapes
+def _slab_peak(width: int, rank: int, levels: int) -> int:
+    """Most entries _slab stores at once when it builds `levels` levels
+    after a prefix state of rank rows and width columns and finds no set:
+    _slab's own schedule, replayed from binomials, with keys shifted so
+    that the first column is 0 (the prefix is keyed -1).  Child c of
+    level j + 1 holds C(c, j) states of rank - j - 1 rows and width - 1 - c
+    columns; children are allocated in descending c, each after the parent
+    groups of key >= c are freed, and a level's first group is freed after
+    its last child.  Only the allocations count, as in _slab's peak."""
+    parents = [(-1, rank * width)]  # (key, entries) of level j, by key
+    held = rank * width
+    peak = 0
+    for j in range(levels):
+        children = []
+        for c in reversed(range(parents[0][0] + 1, width - 1)):
+            while parents[-1][0] >= c:
+                held -= parents.pop()[1]
+            children.append((c, (rank - j - 1) * (width - 1 - c) * math.comb(c, j)))
+            held += children[-1][1]
+            peak = max(peak, held)
+        if not children:
+            break
+        held -= parents[0][1]
+        parents = children[::-1]
+    return peak
 
 
 class _ColumnSearch:
@@ -320,16 +351,17 @@ class _ColumnSearch:
     the storage dtype, so no state is copied after it is reduced.  Each
     child is tested for a zero column as soon as it is built, on what it
     stores, so the next level scans only the groups found to hold one (and
-    the prefix's own level), and reads the lex-first dependent set off the
-    first zero column of each such state, with one colex unranking for the
-    whole level.  States run along the last axis so that numpy's inner
-    loops are long.
+    the prefix's own level), in ascending max(T), and reads the lex-first
+    dependent set off the first zero column of each such state by colex
+    unranking, up to the first group that cannot hold a smaller set.
+    States run along the last axis so that numpy's inner loops are long.
 
-    The search runs once, from the empty prefix.  A prefix whose sets
-    would not fit in _FRONTIER_BYTES is split by its next column: P + (f,)
-    is searched on its own, and the rest from f + 1 on.  Slabs run in lex
-    order, each searching only below the best size found so far, so the
-    first set found at the final size is also the lex-first one.
+    The search runs once, from the empty prefix.  A prefix whose slab
+    would store more than _FRONTIER_BYTES at once (_peak) is split by its
+    next column: P + (f,) is searched on its own, and the rest from f + 1
+    on.  Slabs run in lex order, each searching only below the best size
+    found so far, so the first set found at the final size is also the
+    lex-first one.
     """
 
     def __init__(self, rows: np.ndarray, q: int, max_size: int):
@@ -350,17 +382,11 @@ class _ColumnSearch:
         self.hit = subset
 
     def _peak(self, base: int, rank: int, lo: int) -> int:
-        """Bytes of the two largest consecutive levels a slab stores: prefix
-        length base, rank rows left, first columns from lo on.  Level 0 is
-        the prefix, and the last level searched is never stored.  A state
-        of level j with max(T) = l stores n - 1 - l columns, and summed
-        over T these are C(n - lo, j + 1) (hockey stick)."""
-        level = [
-            math.comb(self.n - lo, j + 1) * (rank - j) * self.entry_bytes
-            for j in range(self.best - 1 - base)
-        ]
-        level.append(0)
-        return max(a + b for a, b in zip(level, level[1:]))
+        """Most bytes of stored levels that _slab holds at once for a prefix
+        of length base, rank rows left and first columns from lo on: the
+        peak it reaches when it finds no set, and a bound when it does.
+        The last level searched, base + j + 1 = best - 1, is never stored."""
+        return _slab_peak(self.n - lo, rank, self.best - base - 2) * self.entry_bytes
 
     def _prefix(self, prefix: tuple[int, ...], state: np.ndarray, lo: int) -> None:
         """Search prefix + T for every nonempty T with min(T) >= lo, in lex
@@ -387,7 +413,7 @@ class _ColumnSearch:
         n, base = self.n, len(prefix)
         groups = [(lo - 1, state[:, :, None])]  # (max(T), states), by key
         clear: set[int] = set()  # groups that hold no zero column
-        held = state.nbytes  # bytes of the stored levels
+        held = state.size  # entries of the stored levels
         j = 0
         while groups and base + j + 1 < self.best:
             # zero columns of the whole level before any child is built
@@ -408,11 +434,11 @@ class _ColumnSearch:
             # child; no child at c = n - 1, which would keep no column
             for c in reversed(range(parents[0][0] + 1, n - 1)):
                 while parents[-1][0] >= c:
-                    held -= parents.pop()[1].nbytes
+                    held -= parents.pop()[1].size
                 total = math.comb(c - lo, j)
                 child = np.empty((height - 1, n - 1 - c, total), self.dtype)
-                held += child.nbytes
-                self.peak = max(self.peak, held)
+                held += child.size
+                self.peak = max(self.peak, held * self.entry_bytes)
                 # the parents' columns from c on, width n - c each, gathered
                 # in batches of at most step states, in what the stored
                 # levels leave of twice the cap.  The step is sized for four
@@ -421,7 +447,7 @@ class _ColumnSearch:
                 # straight into its slice of the child.  The pivot fix's
                 # temporaries are one row each, as is the zero-column test's
                 per_state = np.dtype(self.work).itemsize * max(1, height * (n - c))
-                step = max(1, (2 * _FRONTIER_BYTES - held) // (4 * per_state))
+                step = max(1, (2 * _FRONTIER_BYTES - held * self.entry_bytes) // (4 * per_state))
                 for at in range(0, total, step):
                     end = min(at + step, total)
                     # a new array even for one piece: _eliminate overwrites x[0]
@@ -438,29 +464,39 @@ class _ColumnSearch:
                     top = np.maximum.reduce(child, axis=0)
                     if np.count_nonzero(top) == top.size:
                         clear.add(c)
-            held -= sum(x.nbytes for _, x, _, _ in parents)
+            held -= sum(x.size for _, x, _, _ in parents)
             del parents  # frees the first group, which every child took
             groups.reverse()
             j += 1
 
     def _first_zero(self, lo: int, j: int, groups, clear) -> tuple[int, ...] | None:
         """The lex-first set T + {c} of level j whose state has a zero
-        column c, or None: the first zero column of each state that has
-        one (its lex-first set), then the lex-first of these sets over the
-        groups not in clear, with one colex unranking for all of them."""
-        zeros = []  # (max(T), first zero column, state) by group
+        column c, or None.  Groups not in clear are scanned in ascending
+        max(T) = l.  The least set group l can hold, (lo, ..., lo + j - 2,
+        l, l + 1), grows with l, so the scan stops at the first group whose
+        least set is not below the best found (level 0 is one group).  A
+        group's states are tested in chunks that need at most
+        _FRONTIER_BYTES of temporaries, by one max over the rows, and the
+        first zero column of each state that has one (its lex-first set) is
+        unranked with the chunk's other hits."""
+        best = None
         for l, x in groups:
-            if l not in clear:
-                zero = ~(x != 0).any(axis=0)
+            if best is not None and (*range(lo, lo + j - 1), l, l + 1) >= best:
+                break
+            if l in clear:
+                continue
+            step = max(1, _FRONTIER_BYTES // (16 * (x.shape[1] + j + 2)))
+            for at in range(0, x.shape[2], step):
+                # initial=0 answers a state of no rows: every column is zero
+                zero = np.maximum.reduce(x[:, :, at : at + step], axis=0, initial=0) == 0
                 idx = np.flatnonzero(zero.any(axis=0))
                 if len(idx):
-                    zeros.append((np.full(len(idx), l), l + 1 + zero[:, idx].argmax(axis=0), idx))
-        if not zeros:
-            return None
-        sets = self._unrank(lo, j, *map(np.concatenate, zip(*zeros)))
-        for k in range(sets.shape[1]):
-            sets = sets[sets[:, k] == sets[:, k].min()]
-        return tuple(int(a) for a in sets[0])
+                    sets = self._unrank(lo, j, l, l + 1 + zero[:, idx].argmax(axis=0), at + idx)
+                    for k in range(sets.shape[1]):
+                        sets = sets[sets[:, k] == sets[:, k].min()]
+                    found = tuple(int(a) for a in sets[0])
+                    best = found if best is None else min(best, found)
+        return best
 
     @staticmethod
     def _unrank(lo: int, j: int, l, cs, idx) -> np.ndarray:

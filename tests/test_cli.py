@@ -279,6 +279,30 @@ def test_verify_profile_and_ladder(tmp_path, capsys):
     assert "holds" in out
 
 
+def test_verify_ladder_rejects_e_above_the_edge_count(tmp_path, capsys):
+    # no e distinct edges exist past the edge count m, and ladder_profile
+    # builds e - 1 rungs before any is checked: e = 100000001 ran out of
+    # memory.  Such an e is one error line before any rung is built; e = m
+    # still checks every rung.  The large run is a child under a 1 GiB
+    # address-space cap, so a ladder that is built fails there
+    (tmp_path / "cyc.hg").write_text(CYCLE_HG)
+    assert main(["verify", "cyc.hg", "--ladder", "--e", "3", "--v", "6"]) == 4
+    capsys.readouterr()
+    assert main(["verify", "cyc.hg", "--ladder", "--e", "4", "--v", "7"]) == 1
+    assert capsys.readouterr().err == "error: BadRange: --ladder needs e <= 3, the file's edge count, got e=4\n"
+    (tmp_path / "fan.hg").write_text("6002 6000 3\n" + "".join(f"1 2 {k}\n" for k in range(3, 6003)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from sparsehg.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["verify", "fan.hg", "--ladder", "--e", "100000001", "--v", "6"]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+                         cwd=tmp_path, capture_output=True, text=True, timeout=5)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: BadRange: --ladder needs e <= 6000, the file's edge count, got e=100000001\n"
+
+
 def test_verify_violation_exits_four(tmp_path, capsys):
     (tmp_path / "cyc.hg").write_text(CYCLE_HG)
     rc = main(["verify", "cyc.hg", "--e", "3", "--v", "7", "--json"])

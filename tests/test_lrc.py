@@ -498,7 +498,7 @@ def test_min_distance_budget_matches_exhaustive_sweep(rng, split_search, cap):
 @pytest.mark.parametrize("cap", [None, 1 << 16])
 def test_flagship_distance_with_split_frontier(split_search, cap):
     # 1744435 subsets of sizes 1..10, then the first 11-subset, the first
-    # block's columns, is dependent; unsplit, the search holds about 2.8 MB
+    # block's columns, is dependent; unsplit, the search holds 1.55 MB
     searches = split_search(cap) if cap is not None else []
     h = lrc.parity_check(FLAGSHIP)
     assert lrc.min_distance(h) == 11
@@ -562,24 +562,27 @@ def test_column_search_never_writes_to_a_stored_state(rng, monkeypatch, cap):
             assert lrc._ColumnSearch(rows, q, len(rows) + 1).hit == expected
 
 
-def test_peak_closed_form_matches_the_sum_over_max_columns():
-    # _peak counts the columns a level stores as C(n - lo, j + 1); the
-    # plain count sums n - 1 - l over the j-sets T with max(T) = l and
-    # min(T) >= lo
-    search = lrc._ColumnSearch(np.ones((1, 2), np.int64), 23, 1)
-    for n in range(1, 25):
-        search.n = n
-        rank = n + 1
-        for lo in range(n):
-            level = [rank * (n - lo)]
-            for j in range(1, n + 1):
-                columns = sum(math.comb(l - lo, j - 1) * (n - 1 - l) for l in range(lo, n))
-                level.append(columns * (rank - j))
-            for best in range(2, n + 3):
-                search.best = best
-                stored = level[: best - 1] + [0]
-                expected = max(a + b for a, b in zip(stored, stored[1:]))
-                assert search._peak(0, rank, lo) == expected * search.entry_bytes
+@pytest.mark.parametrize("q", [23, 2**61 - 1])
+def test_peak_is_the_peak_a_slab_reaches(q):
+    # _peak replays _slab's schedule from binomials.  On Vandermonde rows,
+    # which are MDS, no set of at most rank columns is dependent, so every
+    # level below the size cap is built and the replay must meet
+    # search.peak exactly, in entry_bytes, Python-int entries (q >= 2^31)
+    # included.  n == rank with max_size rank + 1 builds the level of
+    # states with no rows.  Slabs from lo > 0 are run directly
+    for n in range(1, 8):
+        for rank in range(1, n + 1):
+            entries = [[pow(a, e, q) for a in range(1, n + 1)] for e in range(rank)]
+            rows = lrc._row_basis(lrc.fq_matrix(lrc.PrimeField(q), entries))
+            for max_size in range(1, rank + 1 + (n == rank)):
+                search = lrc._ColumnSearch(rows, q, max_size)
+                assert search.hit is None
+                assert search.peak == search._peak(0, rank, 0) <= lrc._FRONTIER_BYTES
+                for lo in range(n):
+                    search.peak = 0
+                    search._slab((), rows.astype(search.dtype)[:, lo:], lo)
+                    assert search.hit is None
+                    assert search.peak == search._peak(0, rank, lo)
 
 
 def test_unrank_reads_colex_order_off_binomials():
@@ -614,21 +617,60 @@ def test_distance_search_memory_is_capped(monkeypatch, cap):
 
 def test_flagship_search_makes_few_long_eliminations(monkeypatch):
     # at the default cap one [22, 11] search makes few, long batched steps:
-    # 525 calls with the column walk's 11, and 178 on the planted twin of
-    # distance 4.  Both are pinned, as a pass that speeds one of them up
-    # slows the other: a first pass over the sizes that fit one slab took
-    # the twin to 71 and the [22, 11] code to 620.  No child of c = n - 1
-    # is built, as it keeps no column, so no call gets a single column.
-    # Slabs over column ranges made 651; with them, batches of a twelfth
-    # of the cap made 839, and the former 256 KiB cap 2,496
+    # 326 calls with the column walk's 11, in two slabs, and 126 on the
+    # planted twin of distance 4.  Both are pinned, as a pass that speeds
+    # one of them up slows the other: a first pass over the sizes that fit
+    # one slab took the twin to 71 and the [22, 11] code to 620.  No child
+    # of c = n - 1 is built, as it keeps no column, so no call gets a single
+    # column.  Slabs sized by the full levels, not by what _slab holds,
+    # made 525 and 178; slabs over column ranges made 651; with them,
+    # batches of a twelfth of the cap made 839, and the former 256 KiB cap
+    # 2,496
     widths = []
     real = lrc._eliminate
     monkeypatch.setattr(lrc, "_eliminate", lambda x, q, out: widths.append(x.shape[1]) or real(x, q, out))
-    for spec, distance, calls in ((FLAGSHIP, 11, 525), (PLANTED, 4, 178)):
+    for spec, distance, calls in ((FLAGSHIP, 11, 326), (PLANTED, 4, 126)):
         widths.clear()
         assert lrc.min_distance(lrc.parity_check(spec)) == distance
         assert len(widths) <= calls
         assert min(widths) >= 2
+
+
+def _record_unranked_groups(monkeypatch) -> list:
+    """Records the (level, max(T)) of every group the hit scan unranks."""
+    groups = []
+    real = lrc._ColumnSearch._unrank
+    monkeypatch.setattr(
+        lrc._ColumnSearch,
+        "_unrank",
+        staticmethod(lambda lo, j, l, cs, idx: groups.append((j, l)) or real(lo, j, l, cs, idx)),
+    )
+    return groups
+
+
+def test_hit_scan_reads_a_later_group_that_can_still_win(monkeypatch):
+    # column 4 is 2 + 3 and column 5 is 0 + 4, so {2, 3, 4} and {0, 4, 5}
+    # are the only dependent sets of at most 3 columns.  On level 2 the
+    # first sits in group max(T) = 3 and the lex-first in group 4, whose
+    # least set (0, 4, 5) is below (2, 3, 4): a scan that stopped at the
+    # first group with a hit would report the wrong set
+    q = 23
+    entries = [[1, 0, 0, 1, 1, 2], [0, 1, 0, 1, 1, 1], [0, 5, 1, 1, 2, 2]]
+    assert oracles.rank_mod([[row[c] for c in (2, 3, 4)] for row in entries], q) == 2
+    assert oracles.lex_first_dependent_columns(entries, q, 3) == (0, 4, 5)
+    groups = _record_unranked_groups(monkeypatch)
+    rows = lrc._row_basis(lrc.fq_matrix(lrc.PrimeField(q), entries))
+    assert lrc._ColumnSearch(rows, q, 3).hit == (0, 4, 5)
+    assert groups == [(2, 3), (2, 4)]
+
+
+def test_flagship_hit_scan_unranks_one_group(monkeypatch):
+    # the [22, 11] code's only level with a hit is its last: the first
+    # block's columns sit in the first group that holds one, and every
+    # later group's least set is above them, so no other group is unranked
+    groups = _record_unranked_groups(monkeypatch)
+    assert lrc.min_distance(lrc.parity_check(FLAGSHIP)).columns == tuple(range(11))
+    assert len(set(groups)) == 1
 
 
 def test_singleton_bound():
